@@ -102,52 +102,56 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
 
     Cells must be numeric or blank.  A blank or non-finite cell (nan/inf)
     drops its whole row, counted and warned about once; a non-blank cell that
-    fails to parse as a number rejects the file, naming the column.  The row
-    array may have zero rows (header-only file).
+    fails to parse as a number rejects the file, naming the column, and so
+    does a file that is not UTF-8 text.  The row array may have zero rows
+    (header-only file).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        header = [name.strip() for name in header]
-        if any(not name for name in header):
-            raise SchemaError(f"{path}: blank column name in header")
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        width = len(header)
-        kept = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # trailing blank line
-            if len(row) != width:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {width} cells, got {len(row)}"
-                )
-            parsed = np.empty(width)
-            missing = False
-            for j, cell in enumerate(row):
-                text = cell.strip()
-                if not text:
-                    missing = True
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected a header row") from None
+            header = [name.strip() for name in header]
+            if any(not name for name in header):
+                raise SchemaError(f"{path}: blank column name in header")
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate column names in header")
+            width = len(header)
+            kept = []
+            dropped = 0
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # trailing blank line
+                if len(row) != width:
+                    raise SchemaError(
+                        f"{path}:{lineno}: expected {width} cells, got {len(row)}"
+                    )
+                parsed = np.empty(width)
+                missing = False
+                for j, cell in enumerate(row):
+                    text = cell.strip()
+                    if not text:
+                        missing = True
+                        continue
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise NonNumericColumnError(
+                            f"{path}: column {header[j]!r} holds non-numeric value "
+                            f"{text!r} (row {lineno})"
+                        ) from None
+                    if not math.isfinite(value):
+                        missing = True
+                        continue
+                    parsed[j] = value
+                if missing:
+                    dropped += 1
                     continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise NonNumericColumnError(
-                        f"{path}: column {header[j]!r} holds non-numeric value "
-                        f"{text!r} (row {lineno})"
-                    ) from None
-                if not math.isfinite(value):
-                    missing = True
-                    continue
-                parsed[j] = value
-            if missing:
-                dropped += 1
-                continue
-            kept.append(parsed)
+                kept.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = np.array(kept) if kept else np.empty((0, width))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")

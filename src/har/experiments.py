@@ -47,7 +47,7 @@ from .data import (
     rng_from,
     split_dataset,
 )
-from .exceptions import InvalidInputError, InvalidParameterError
+from .exceptions import HarError, InvalidInputError, InvalidParameterError
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix
 from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, predict, tune
 
@@ -356,8 +356,9 @@ def run_benchmark(
     """Tune every method on shared splits of each dataset, `repeats` times.
 
     Within a repeat all methods see the same train/test rows.  A dataset
-    that fails to load or fit is recorded under `failures` and the run
-    continues.  Target column is the last column of each file.
+    that fails to load or fit (a package error or an I/O error) is recorded
+    under `failures` and the run continues; any other exception is a bug and
+    propagates.  Target column is the last column of each file.
     """
     if repeats < 1:
         raise InvalidParameterError(f"repeats must be >= 1, got {repeats!r}")
@@ -377,7 +378,7 @@ def run_benchmark(
                 grid_count=grid_count, epsilon=epsilon,
                 threads=threads, progress=progress,
             ))
-        except Exception as exc:
+        except (HarError, OSError) as exc:
             failures.append((name, f"{type(exc).__name__}: {exc}"))
     config = {
         "operation": "bench",

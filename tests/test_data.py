@@ -111,6 +111,13 @@ def test_header_problems(tmp_path):
         read_table(blank)
 
 
+def test_non_utf8_file_rejected_as_schema_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,y\n0.5,1\n\xe9,2\n")
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        read_table(path)
+
+
 def test_target_selection(write_csv):
     path = write_csv("t2.csv", ["a", "b", "y"], [[1, 2, 3], [4, 5, 6]])
     ds = load_csv(path, target="b")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from har import experiments
 from har.data import rng_from
 from har.exceptions import InvalidInputError, InvalidParameterError
 from har.experiments import (
@@ -234,6 +235,16 @@ def test_benchmark_writers(bench_files, tmp_path):
     assert len(rows) == 7
     doc = json.loads(json_path.read_text())
     assert len(doc["cells"]) == 6 and doc["config"]["repeats"] == 2
+
+
+def test_benchmark_programming_error_propagates(bench_files, monkeypatch):
+    # only package and I/O errors count as dataset failures; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the benchmark loop")
+
+    monkeypatch.setattr(experiments, "_bench_one_dataset", broken)
+    with pytest.raises(TypeError, match="bug in the benchmark loop"):
+        run_benchmark(bench_files, 1, repeats=1, grid_count=5)
 
 
 def test_benchmark_validation(bench_files):

@@ -322,6 +322,30 @@ def test_wide_p_gram_consistent_with_pointwise():
             assert g[i, j] == har_kernel(knots.values[i], knots.values[j], knots, 0)
 
 
+@pytest.mark.parametrize("p", [7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 64])
+def test_order0_gram_exact_at_dtype_boundaries(p):
+    # p straddles the 1/2/4/8-byte mask and term types; 45 knots leave ragged
+    # row and column tiles; 45 * 2**p crosses 2**53 between p = 47 and 48,
+    # where the integer sum gives way to float terms.  A knot at the origin
+    # puts a 2**p term in every entry, and the all-ones point's diagonal entry
+    # is the largest possible sum, 45 * 2**p.
+    rng = rng_from(16, "kernels", "dtype-boundaries", p)
+    vals = rng.uniform(size=(45, p))
+    vals[0] = 0.0
+    vals[1] = 1.0
+    knots = DesignMatrix(vals)
+    spec = KernelSpec.har(0)
+    g1 = gram_matrix(knots, spec, threads=1).values
+    assert np.array_equal(gram_matrix(knots, spec, threads=2).values, g1)
+    assert np.array_equal(cross_kernel_matrix(knots, knots, spec), g1)
+    assert g1[1, 1] == 45 * 2.0**p
+    pairs = [(0, 0), (0, 1), (1, 1), (44, 44), (3, 44)] + [
+        tuple(ij) for ij in rng.integers(0, 45, size=(15, 2))
+    ]
+    for i, j in pairs:
+        assert g1[i, j] == har_kernel(vals[i], vals[j], knots, 0)
+
+
 def test_gram_provenance():
     rng = rng_from(15, "kernels", "prov")
     knots = DesignMatrix(rng.uniform(size=(4, 2)))
