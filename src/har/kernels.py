@@ -75,6 +75,8 @@ _COL_CHUNK = 256
 # 0.8 MB, inside a typical per-core L2 cache
 _TILE_ROWS = 8
 _TILE_COLS = 32
+# column width of the transposed copy that mirrors a Gram's upper triangle
+_MIRROR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -533,6 +535,18 @@ def _run_blocks(work, blocks, threads: int | None) -> None:
             pass
 
 
+def _mirror_upper(K: np.ndarray) -> None:
+    """Copy the strict upper triangle of square K onto the lower one, a
+    block column at a time, so no n^2 index arrays are built."""
+    n = K.shape[0]
+    below = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
+    for c0 in range(0, n, _MIRROR_BLOCK):
+        c1 = min(c0 + _MIRROR_BLOCK, n)
+        K[c1:, c0:c1] = K[c0:c1, c1:].T
+        diag = K[c0:c1, c0:c1]
+        np.copyto(diag, diag.T, where=below[: c1 - c0, : c1 - c0])
+
+
 def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = None) -> GramMatrix:
     """Kernel matrix of the knots against themselves.
 
@@ -553,8 +567,7 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
 
     blocks = [(r0, min(r0 + _ROW_BLOCK, n)) for r0 in range(0, n, _ROW_BLOCK)]
     _run_blocks(work, blocks, threads)
-    lower = np.tril_indices(n, -1)
-    K[lower] = K.T[lower]
+    _mirror_upper(K)
     K.setflags(write=False)
     return GramMatrix(values=K, spec=spec, knot_fingerprint=knots.fingerprint)
 

@@ -17,14 +17,17 @@ one Gram matrix per kernel candidate:
 * a geometric grid over that interval scored by mean squared leave-one-out
   residual, ties broken toward the larger lambda.
 
-One symmetric eigendecomposition per Gram serves the whole grid; alpha and
-the inverse diagonal come from the same factorization so their rounding is
-consistent.  `fit` itself uses a Cholesky factorization with an escalating
-jitter retry for the near-singular lambda ~ 0 corner.
+`tune` factors each Gram once, K = V diag(w) V^T: eigmin(K) = w[0] sets
+lambda0, two matrix products give alpha and the inverse diagonal at every
+grid point, and the winner's alpha is its column of that product, so no
+second factorization is made.  `fit`, for an explicit lambda, keeps a
+Cholesky factorization with an escalating jitter retry for the
+near-singular lambda ~ 0 corner.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ from .kernels import (
     membership_masks,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_GRID_COUNT = 50
@@ -244,16 +247,22 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
 # ---------------------------------------------------------------------------
 # closed-form leave-one-out
 
-def _loo_from_eigh(w: np.ndarray, V: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    shifted = w + lam
-    if np.any(shifted <= 0.0):
+def _loo_grid(w: np.ndarray, V: np.ndarray, y: np.ndarray, grid: np.ndarray):
+    """Dual weights and leave-one-out residuals at every lambda of `grid`
+    (column j for grid[j]) from one eigendecomposition K = V diag(w) V^T.
+
+    Squares V in place once alpha is formed, sparing an n x n temporary.
+    """
+    shifted = w[:, None] + grid
+    singular = np.any(shifted <= 0.0, axis=0)
+    if singular.any():
         raise SingularSystemError(
-            f"K + lambda I is not positive definite at lambda={lam:g}"
+            f"K + lambda I is not positive definite at lambda={grid[singular][0]:g}"
         )
     inv = 1.0 / shifted
-    alpha = V @ ((V.T @ y) * inv)
-    inv_diag = (V * V) @ inv
-    return alpha / inv_diag
+    alpha = V @ ((V.T @ y)[:, None] * inv)
+    inv_diag = np.square(V, out=V) @ inv
+    return alpha, alpha / inv_diag
 
 
 def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
@@ -265,53 +274,25 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
     yv = _check_y(y, gram.n)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise InvalidParameterError(f"loocv requires lambda > 0, got {lam!r}")
-    w, V = eigh(gram.values)
-    return _loo_from_eigh(w, V, yv, lam)
+    w, V = eigh(gram.values, driver="evd")
+    return _loo_grid(w, V, yv, np.array([float(lam)]))[1][:, 0]
 
 
 # ---------------------------------------------------------------------------
 # regularization bound and grid
 
-def smallest_eigenvalue(K: np.ndarray, max_iterations: int = 200, rel_tol: float = 1e-6) -> float:
-    """Smallest eigenvalue of a symmetric PSD matrix by inverse power
-    iteration against a Cholesky factor of K + delta I.
+def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
+    """||y|| / (epsilon max|y|), the outcome's share of lambda0."""
+    if not (0.0 < epsilon < 1.0):
+        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    y_max = float(np.max(np.abs(yv)))
+    if y_max == 0.0:
+        raise UndefinedScaleError("cannot scale the bound: y is identically zero")
+    return float(np.linalg.norm(yv)) / (epsilon * y_max)
 
-    Converges when the Rayleigh quotient moves less than rel_tol relative;
-    returns 0.0 on non-convergence or factorization failure, which is the
-    conservative direction for the lambda0 bound (it only enlarges it).
-    """
-    n = K.shape[0]
-    if n == 1:
-        return float(K[0, 0])
-    delta = 1e-8 * float(np.trace(K)) / n
-    if not (delta > 0.0):
-        delta = 1e-12
-    idx = np.diag_indices(n)
-    factor = None
-    for _ in range(4):
-        A = np.array(K, copy=True)
-        A[idx] += delta
-        try:
-            factor = cho_factor(A, lower=True)
-            break
-        except LinAlgError:
-            delta *= 10.0
-    if factor is None:
-        return 0.0
-    v = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(n)
-    v /= np.linalg.norm(v)
-    mu_prev = None
-    for _ in range(max_iterations):
-        z = cho_solve(factor, v)
-        norm_z = np.linalg.norm(z)
-        if norm_z == 0.0:
-            return 0.0
-        v = z / norm_z
-        mu = float(v @ (K @ v))
-        if mu_prev is not None and abs(mu - mu_prev) <= rel_tol * max(abs(mu), 1e-30):
-            return mu
-        mu_prev = mu
-    return 0.0
+
+def _lambda0(K: np.ndarray, factor: float, eig_min: float) -> float:
+    return float(np.max(np.linalg.norm(K, axis=1))) * factor - eig_min
 
 
 def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -321,17 +302,12 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
 
     At lambda >= lambda0 every in-sample prediction satisfies
     |yhat_i| <= epsilon * max|y| (Cauchy-Schwarz on K_i alpha plus the
-    operator-norm bound ||alpha|| <= ||y|| / (eigmin + lambda)).
+    operator-norm bound ||alpha|| <= ||y|| / (eigmin + lambda)).  eigmin is
+    computed exactly; `tune` reuses the one from its own eigendecomposition.
     """
-    yv = _check_y(y, gram.n)
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    y_max = float(np.max(np.abs(yv)))
-    if y_max == 0.0:
-        raise UndefinedScaleError("cannot scale the bound: y is identically zero")
-    row_norm = float(np.max(np.linalg.norm(gram.values, axis=1)))
-    eig_min = smallest_eigenvalue(gram.values)
-    return row_norm * float(np.linalg.norm(yv)) / (epsilon * y_max) - eig_min
+    factor = _bound_factor(_check_y(y, gram.n), epsilon)
+    eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
+    return _lambda0(gram.values, factor, float(eig_min))
 
 
 def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
@@ -387,28 +363,30 @@ def tune(
     har/sobolev build one Gram matrix; rbf loops its fixed bandwidth ladder,
     recomputing lambda0 per bandwidth.  Scores are mean squared leave-one-out
     residuals; ties break toward the larger lambda.  Returns the scored grid
-    and the refit at the winner.  A degenerate grid_count of 1 scores only
-    lambda0 itself.
+    and the model at the winner, whose alpha comes from the same
+    eigendecomposition that scored it.  A degenerate grid_count of 1 scores
+    only lambda0 itself.
     """
     yv = _check_y(y, knots.n)
     if not isinstance(grid_count, (int, np.integer)) or isinstance(grid_count, bool) or grid_count < 1:
         raise InvalidParameterError(f"grid count must be an integer >= 1, got {grid_count!r}")
     specs = _family_specs(family, order)
+    factor = _bound_factor(yv, epsilon)
 
     candidates = []
     scores = []
-    best = None  # (index, score, lam, gram)
+    best = None  # (index, score, lam, alpha)
     for spec in specs:
         gram = gram_matrix(knots, spec, threads=threads)
-        lam0 = lambda_max(gram, yv, epsilon)
+        w, V = eigh(gram.values, driver="evd")
+        lam0 = _lambda0(gram.values, factor, float(w[0]))
         if grid_count == 1:
             grid = np.array([lam0])
         else:
             grid = lambda_grid(lam0, int(grid_count))
-        w, V = eigh(gram.values)
-        for lam in grid:
-            errors = _loo_from_eigh(w, V, yv, float(lam))
-            score = float(np.mean(errors**2))
+        alphas, errors = _loo_grid(w, V, yv, grid)
+        for j, lam in enumerate(grid):
+            score = float(np.mean(errors[:, j] ** 2))
             index = len(candidates)
             candidates.append((spec, float(lam)))
             scores.append(score)
@@ -417,7 +395,7 @@ def tune(
                 or score < best[1]
                 or (score == best[1] and float(lam) > best[2])
             ):
-                best = (index, score, float(lam), gram)
+                best = (index, score, float(lam), alphas[:, j])
 
     result = TuningResult(
         candidates=tuple(candidates),
@@ -425,20 +403,32 @@ def tune(
         selected=best[0],
     )
     spec_sel, lam_sel = result.winner
-    model = fit(
-        knots,
-        yv,
-        spec_sel,
-        lam_sel,
-        scaling=scaling,
-        gram=best[3],
-        threads=threads,
+    model = FittedModel(
+        knots=knots,
+        spec=spec_sel,
+        lam=lam_sel,
+        alpha=best[3],
+        scaling=ScalingParams.identity(knots.p) if scaling is None else scaling,
+        y_max_abs=float(np.max(np.abs(yv))),
+        y_norm=float(np.linalg.norm(yv)),
+        gram_fingerprint=knots.fingerprint,
     )
     return result, model
 
 
 # ---------------------------------------------------------------------------
 # persistence
+
+def _model_fingerprint(model: FittedModel) -> str:
+    """sha256 over everything that changes predictions: kernel, lambda,
+    scaling, knots and alpha."""
+    h = hashlib.sha256()
+    h.update(json.dumps(model.spec.to_dict(), sort_keys=True).encode())
+    h.update(model.knots.fingerprint.encode())
+    for part in ([model.lam], model.scaling.mins, model.scaling.maxs, model.alpha):
+        h.update(np.asarray(part, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
 
 def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
     """Versioned JSON-ready form.  Floats survive exactly: json uses repr,
@@ -452,6 +442,7 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "alpha": model.alpha.tolist(),
         "y_stats": {"max_abs": model.y_max_abs, "norm": model.y_norm},
         "gram_fingerprint": model.gram_fingerprint,
+        "model_fingerprint": _model_fingerprint(model),
         "metadata": dict(metadata) if metadata else {},
     }
 
@@ -463,13 +454,16 @@ def save_model(model: FittedModel, path, metadata: dict | None = None) -> None:
 
 
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
+    """Version 2 files must match their fingerprint of every prediction
+    input; version 1 files carry only the knots' fingerprint."""
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise SchemaError(
             f"unsupported model format version {version!r}; this build reads "
-            f"version {MODEL_FORMAT_VERSION}"
+            f"versions 1 to {MODEL_FORMAT_VERSION}"
         )
-    for key in ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint"):
+    required = ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint")
+    for key in required + (("model_fingerprint",) if version == 2 else ()):
         if key not in doc:
             raise SchemaError(f"model file is missing required key {key!r}")
     knots = DesignMatrix(np.asarray(doc["knots"], dtype=np.float64))
@@ -490,6 +484,11 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
         y_norm=float(stats.get("norm", 0.0)),
         gram_fingerprint=doc["gram_fingerprint"],
     )
+    if version == 2 and _model_fingerprint(model) != doc["model_fingerprint"]:
+        raise SchemaError(
+            "model fingerprint mismatch: kernel, lambda, scaling, knots or "
+            "alpha was edited"
+        )
     return model, doc.get("metadata", {})
 
 

@@ -277,6 +277,16 @@ def test_cross_equals_gram_on_self():
         assert np.array_equal(c, g.values)
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+def test_gram_mirror_exact_across_block_columns(n):
+    rng = rng_from(14, "kernels", "mirror", n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    for spec in [KernelSpec.har(0), KernelSpec.sobolev()]:
+        g = gram_matrix(knots, spec).values
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, cross_kernel_matrix(knots, knots, spec))
+
+
 def test_cross_single_row_is_pointwise():
     rng = rng_from(12, "kernels", "cross-row")
     knots = DesignMatrix(rng.uniform(size=(5, 2)))

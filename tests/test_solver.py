@@ -20,10 +20,10 @@ from har.solver import (
     lambda_max,
     load_model,
     loocv_errors,
+    model_from_dict,
     model_to_dict,
     predict,
     save_model,
-    smallest_eigenvalue,
     tune,
 )
 
@@ -233,12 +233,20 @@ def test_suppression_at_the_bound():
         assert np.max(np.abs(predict(model, knots))) <= 1e-3 * np.max(np.abs(y))
 
 
-def test_smallest_eigenvalue_matches_dense():
-    rng = rng_from(41, "solver", "eig")
-    A = rng.standard_normal((30, 8))
-    K = A @ A.T + 0.3 * np.eye(30)
-    exact = float(np.linalg.eigvalsh(K)[0])
-    assert smallest_eigenvalue(K) == pytest.approx(exact, rel=1e-4)
+def test_lambda_max_uses_exact_smallest_eigenvalue():
+    # on this draw an inverse power iteration for eigmin failed to converge
+    # and fell back to 0, inflating the bound by the true eigmin (~0.42)
+    rng = rng_from(7, "solver", "eigmin-bound")
+    knots = DesignMatrix(rng.uniform(size=(800, 10)))
+    y = rng.standard_normal(800)
+    g = gram_matrix(knots, KernelSpec.sobolev())
+    K = g.values
+    eps = 1e-3
+    expected = (
+        np.max(np.linalg.norm(K, axis=1)) * np.linalg.norm(y) / (eps * np.max(np.abs(y)))
+        - np.linalg.eigvalsh(K)[0]
+    )
+    assert lambda_max(g, y, eps) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_grid_shape_and_endpoints():
@@ -266,6 +274,26 @@ def test_tune_selects_minimum_and_refits():
     assert result.scores[result.selected] == result.scores.min()
     assert model.lam == result.winner[1]
     assert model.spec == result.winner[0]
+
+
+@pytest.mark.parametrize(
+    "family, order, n",
+    [("har", 0, 40), ("har", 1, 30), ("sobolev", 0, 40), ("rbf", 0, 25)],
+)
+def test_tune_matches_per_lambda_loo_and_fit(family, order, n):
+    rng = rng_from(48, "solver", "tune-equiv", family, order)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = np.sin(5.0 * knots.values[:, 0]) * knots.values[:, 1] + 0.1 * rng.standard_normal(n)
+    result, model = tune(knots, y, family, order=order, grid_count=12)
+    grams = {}
+    for i, (spec, lam) in enumerate(result.candidates):
+        g = grams.setdefault(spec, gram_matrix(knots, spec))
+        score = float(np.mean(loocv_errors(g, y, lam) ** 2))
+        assert result.scores[i] == pytest.approx(score, rel=1e-12, abs=0.0)
+    spec, lam = result.winner
+    assert model.spec == spec and model.lam == lam
+    ref = fit(knots, y, spec, lam, gram=grams[spec]).alpha
+    assert np.linalg.norm(model.alpha - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_tune_rbf_scans_bandwidths():
@@ -381,6 +409,51 @@ def test_model_file_tamper_detected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "path, change",
+    [
+        (("alpha", 1), lambda a: float(np.nextafter(a, np.inf))),
+        (("lambda",), lambda lam: 2.0 * lam),
+        (("kernel", "order"), lambda order: 1),
+        (("scaling", "maxs", 0), lambda hi: 2.0 * hi),
+    ],
+    ids=["alpha", "lambda", "kernel", "scaling"],
+)
+def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change):
+    rng = rng_from(49, "solver", "tamper")
+    knots = DesignMatrix(rng.uniform(size=(6, 2)))
+    doc = model_to_dict(fit(knots, rng.standard_normal(6), T0, 0.5))
+    model_from_dict(json.loads(json.dumps(doc)))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = change(target[last])
+    file = tmp_path / "m.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="model fingerprint"):
+        load_model(file)
+
+
+def test_version_1_model_file_still_loads(tmp_path):
+    rng = rng_from(50, "solver", "v1")
+    knots = DesignMatrix(rng.uniform(size=(12, 3)))
+    model = fit(knots, rng.standard_normal(12), KernelSpec.sobolev(), 0.2)
+    doc = model_to_dict(model)
+    doc["format_version"] = 1
+    del doc["model_fingerprint"]
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    loaded, _ = load_model(path)
+    test = DesignMatrix(rng.uniform(size=(7, 3)))
+    assert np.array_equal(predict(loaded, test), predict(model, test))
+    # version 1 checks the knots only
+    doc["knots"][0][0] = 0.123
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_model(path)
+
+
 def test_model_file_version_and_keys(tmp_path):
     knots = DesignMatrix(np.array([[0.5]]))
     model = fit(knots, [1.0], T0, 0.5)
@@ -390,11 +463,12 @@ def test_model_file_version_and_keys(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(bad)
-    doc = model_to_dict(model)
-    del doc["alpha"]
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
-        load_model(bad)
+    for key in ("alpha", "model_fingerprint"):
+        doc = model_to_dict(model)
+        del doc[key]
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_model(bad)
     bad.write_text("not json{")
     with pytest.raises(SchemaError):
         load_model(bad)
