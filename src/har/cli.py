@@ -280,6 +280,11 @@ def cmd_predict(cfg: dict) -> dict:
     header, rows, dropped = read_table(cfg["data"])
 
     feature_names = metadata.get("feature_names")
+    names_ok = feature_names is None or (
+        isinstance(feature_names, list) and all(isinstance(name, str) for name in feature_names)
+    )
+    if not names_ok:
+        raise SchemaError(f"{cfg['model']}: metadata feature_names is not a list of column names")
     target_name = metadata.get("target_name")
     if feature_names:
         missing = [name for name in feature_names if name not in header]

@@ -20,15 +20,17 @@ Three kernel families share one interface:
   `har_kernel_product_form` always uses the product construction) and must
   agree to float precision; tests pin this.
 
-  Blocked order-0 matrices (p <= 64) pack each point's membership against
-  every knot into a bitmask, so a pair-knot count is ``popcount(a & b)``.
-  Each row block walks small (rows x columns x knots) tiles that stay in a
-  core's L2 cache, counting bits, shifting ``1 << count`` and summing over
-  the knot axis in place.  While ``n * 2**p <= 2**53`` every term and partial
-  sum is an integer float64 holds exactly, so the sum is taken in unsigned
-  integers and equals the float sum of the same terms in any order: the
-  result is bit-identical to summing ``2.0**count`` and to `har_kernel`.
-  Past that bound the tiles keep float terms and the float sum.
+  Blocked order-0 matrices pack each point's membership against every knot
+  into a bitmask of one or more words (one uint64 word per 64 features past
+  p = 64), so a pair-knot count is ``popcount(a & b)`` summed over the words.
+  Each row block walks small (rows x columns x knots x words) tiles that stay
+  in a core's L2 cache, counting bits, shifting ``1 << count`` and summing
+  over the knot axis in place.  While ``n * 2**p <= 2**53`` (so p < 64 and
+  one word) every term and partial sum is an integer float64 holds exactly,
+  so the sum is taken in unsigned integers and equals the float sum of the
+  same terms in any order: the result is bit-identical to summing
+  ``2.0**count`` and to `har_kernel`.  Past that bound the word counts are
+  added and the float terms ``2.0**count`` summed in float.
 
 * ``sobolev`` -- a fixed product kernel on the unit cube,
   ``prod_j cosh(min) * cosh(1 - max) / sinh(1)`` per coordinate.
@@ -71,8 +73,8 @@ _FACTORIALS = tuple(float(math.factorial(k)) for k in range(MAX_ORDER + 1))
 
 _ROW_BLOCK = 32
 _COL_CHUNK = 256
-# order-0 tiles of (rows, columns, knots) masks: 8 x 32 x 1600 uint16 is
-# 0.8 MB, inside a typical per-core L2 cache
+# order-0 tiles of (rows, columns, knots, words) masks: 8 x 32 x 1600 x 1
+# uint16 is 0.8 MB, inside a typical per-core L2 cache
 _TILE_ROWS = 8
 _TILE_COLS = 32
 # column width of the transposed copy that mirrors a Gram's upper triangle
@@ -342,32 +344,23 @@ def kernel_value(x, x_prime, knots: DesignMatrix, spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 # membership masks for the order-0 fast path
 
-def _mask_dtype(p: int):
-    if p <= 8:
-        return np.uint8
-    if p <= 16:
-        return np.uint16
-    if p <= 32:
-        return np.uint32
-    return np.uint64
-
-
 def membership_masks(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """Pack per-knot coordinate dominance into bitmasks.
+    """Pack per-knot coordinate dominance into bitmasks, ``(m, n, words)``.
 
-    Bit j of out[a, k] is 1 iff knots[k, j] <= points[a, j].  Requires
-    p <= 64; the order-0 kernel count for a pair (a, b) is then
-    popcount(out_a[k] & out_b[k]) summed appropriately.
+    Each word is the narrowest unsigned type holding ``2**p``, or uint64
+    once p >= 64, with ``b`` bits; bit ``j % b`` of ``out[a, k, j // b]`` is
+    1 iff ``knots[k, j] <= points[a, j]``.  The order-0 count for a pair
+    (a, b) at knot k is the popcount of ``out[a, k] & out[b, k]`` summed
+    over the words.
     """
     m, p = points.shape
     n = knots.shape[0]
-    if p > 64:
-        raise InvalidParameterError("membership masks require p <= 64")
-    dtype = _mask_dtype(p)
-    out = np.zeros((m, n), dtype=dtype)
+    dtype = np.min_scalar_type(1 << min(p, 63))
+    bits = 8 * dtype.itemsize
+    out = np.zeros((m, n, -(-p // bits)), dtype=dtype)
     for j in range(p):
-        bit = dtype(1) << dtype(j)
-        out |= (knots[None, :, j] <= points[:, None, j]) * bit
+        bit = dtype.type(1) << dtype.type(j % bits)
+        out[:, :, j // bits] |= (knots[None, :, j] <= points[:, None, j]) * bit
     return out
 
 
@@ -401,59 +394,39 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
     """
     p = knot_vals.shape[1]
 
-    if spec.family == FAMILY_HAR and spec.order == 0 and p <= 64:
+    if spec.family == FAMILY_HAR and spec.order == 0:
         # Terms 2**popcount(row_mask & col_mask) are built in place in one
-        # cache-sized tile buffer per row block.  In the exact regime (see the
-        # module docstring) the tile is the narrowest unsigned type holding
-        # 2**p and sums into the narrowest holding n * 2**p; past it the tile
-        # holds counts and the float64 terms 2.0**count are summed in float.
+        # cache-sized tile buffer per row block, in the masks' own word type.
+        # In the exact regime (see the module docstring) the tile holds
+        # 2**count and sums into the narrowest type holding n * 2**p; past it
+        # the word counts are added up and the float64 terms 2.0**count are
+        # summed in float.
         n = knot_vals.shape[0]
         exact = n << p <= 1 << 53
-        dtype = np.min_scalar_type(1 << p) if exact else np.dtype(np.uint64)
         acc_dtype = np.min_scalar_type(n << p) if exact else None
         pow2 = None if exact else np.ldexp(1.0, np.arange(p + 1, dtype=np.int32))
-        col_masks = membership_masks(knot_vals, knot_vals).astype(dtype, copy=False)
-        if row_vals is knot_vals:
-            row_masks = col_masks
-        else:
-            row_masks = membership_masks(row_vals, knot_vals).astype(dtype, copy=False)
+        col_masks = membership_masks(knot_vals, knot_vals)
+        row_masks = col_masks if row_vals is knot_vals else membership_masks(row_vals, knot_vals)
+        words = col_masks.shape[2]
 
         def evaluate(rows: slice, cols: slice) -> np.ndarray:
             rm = row_masks[rows]
             out = np.empty((rm.shape[0], cols.stop - cols.start))
-            buf = np.empty(_TILE_ROWS * _TILE_COLS * n, dtype=dtype)
+            buf = np.empty(_TILE_ROWS * _TILE_COLS * n * words, dtype=col_masks.dtype)
             for r0 in range(0, rm.shape[0], _TILE_ROWS):
                 r1 = min(r0 + _TILE_ROWS, rm.shape[0])
                 for c0 in range(cols.start, cols.stop, _TILE_COLS):
                     c1 = min(c0 + _TILE_COLS, cols.stop)
-                    a = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
-                    np.bitwise_and(rm[r0:r1, None, :], col_masks[None, c0:c1, :], out=a)
+                    shape = (r1 - r0, c1 - c0, n, words)
+                    a = buf[: math.prod(shape)].reshape(shape)
+                    np.bitwise_and(rm[r0:r1, None], col_masks[None, c0:c1], out=a)
                     _bit_count_inplace(a)
                     if exact:
                         np.left_shift(1, a, out=a)
-                        terms = a.sum(axis=2, dtype=acc_dtype)
+                        terms = a.sum(axis=(2, 3), dtype=acc_dtype)
                     else:
-                        terms = pow2[a].sum(axis=2)
+                        terms = pow2[a.sum(axis=3)].sum(axis=2)
                     out[r0:r1, c0 - cols.start : c1 - cols.start] = terms
-            return out
-
-        return evaluate
-
-    if spec.family == FAMILY_HAR and spec.order == 0:
-        # wide-p fallback: accumulate integer membership counts per feature
-        pow2 = np.ldexp(1.0, np.arange(p + 1, dtype=np.int32))
-
-        def evaluate(rows: slice, cols: slice) -> np.ndarray:
-            rv = row_vals[rows]
-            out = np.empty((rv.shape[0], cols.stop - cols.start))
-            for c0 in range(cols.start, cols.stop, _COL_CHUNK):
-                c1 = min(c0 + _COL_CHUNK, cols.stop)
-                cv = knot_vals[c0:c1]
-                counts = np.zeros((rv.shape[0], c1 - c0, knot_vals.shape[0]), dtype=np.int16)
-                for j in range(p):
-                    meet = np.minimum(rv[:, j][:, None], cv[None, :, j])
-                    counts += knot_vals[None, None, :, j] <= meet[:, :, None]
-                out[:, c0 - cols.start : c1 - cols.start] = pow2[counts].sum(axis=2)
             return out
 
         return evaluate

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from .data import ScalingParams
 from .exceptions import (
     DimensionMismatchError,
+    HarError,
     InvalidInputError,
     InvalidParameterError,
     SchemaError,
@@ -113,7 +115,8 @@ class FittedModel:
 
 def _cholesky_with_jitter(K: np.ndarray, lam: float):
     """Factor K + lam I, retrying with jitter 1e-12 tr(K)/n escalated x10
-    up to three times before giving up."""
+    up to three times before giving up; a jitter that succeeds is warned
+    about once."""
     A = np.array(K, copy=True)
     idx = np.diag_indices_from(A)
     A[idx] += lam
@@ -129,9 +132,12 @@ def _cholesky_with_jitter(K: np.ndarray, lam: float):
         B = np.array(A, copy=True)
         B[idx] += jitter
         try:
-            return cho_factor(B, lower=True)
+            factor = cho_factor(B, lower=True)
         except LinAlgError:
             jitter *= 10.0
+            continue
+        warnings.warn(f"K + lambda I needed jitter {jitter:.3e} at lambda={lam:g}", stacklevel=3)
+        return factor
     raise SingularSystemError(
         f"kernel system is numerically singular at lambda={lam:g}; "
         f"final jitter tried was {jitter / 10.0:.3e}"
@@ -195,7 +201,8 @@ def _order0_contraction(test_vals: np.ndarray, knot_vals: np.ndarray, alpha: np.
     """
     n, p = knot_vals.shape
     size = 1 << p
-    knot_masks = membership_masks(knot_vals, knot_vals).astype(np.int64)  # (b, k)
+    # one mask word holds all p bits: the table cap keeps p far below 64
+    knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]  # (b, k)
     flat_idx = np.arange(n, dtype=np.int64)[None, :] * size + knot_masks
     W = np.bincount(
         flat_idx.ravel(), weights=np.repeat(alpha, n), minlength=n * size
@@ -211,7 +218,7 @@ def _order0_contraction(test_vals: np.ndarray, knot_vals: np.ndarray, alpha: np.
     rows = np.arange(n)
     for r0 in range(0, test_vals.shape[0], 1024):
         r1 = min(r0 + 1024, test_vals.shape[0])
-        masks = membership_masks(test_vals[r0:r1], knot_vals).astype(np.int64)
+        masks = membership_masks(test_vals[r0:r1], knot_vals)[:, :, 0]
         out[r0:r1] = W[rows[None, :], masks].sum(axis=1)
     return out
 
@@ -219,10 +226,7 @@ def _order0_contraction(test_vals: np.ndarray, knot_vals: np.ndarray, alpha: np.
 def _use_contraction(model: FittedModel) -> bool:
     if model.spec.family != FAMILY_HAR or model.spec.order != 0:
         return False
-    p = model.knots.p
-    if p > 63:
-        return False
-    bytes_needed = model.knots.n * (1 << p) * 8
+    bytes_needed = model.knots.n * (1 << model.knots.p) * 8
     return bytes_needed <= _TABLE_BYTES_CAP
 
 
@@ -453,6 +457,17 @@ def save_model(model: FittedModel, path, metadata: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _read(doc: dict, key: str, convert):
+    """convert(doc[key]); a value of the wrong type or shape is a SchemaError
+    naming the key, while the package's own errors keep their classes."""
+    try:
+        return convert(doc.get(key, {}))
+    except HarError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"model file key {key!r} is malformed: {exc!r}") from None
+
+
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     """Version 2 files must match their fingerprint of every prediction
     input; version 1 files carry only the knots' fingerprint."""
@@ -466,22 +481,25 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     for key in required + (("model_fingerprint",) if version == 2 else ()):
         if key not in doc:
             raise SchemaError(f"model file is missing required key {key!r}")
-    knots = DesignMatrix(np.asarray(doc["knots"], dtype=np.float64))
+    knots = _read(doc, "knots", lambda v: DesignMatrix(np.asarray(v, dtype=np.float64)))
     if knots.fingerprint != doc["gram_fingerprint"]:
         raise SchemaError(
             "knot fingerprint mismatch: model file is corrupt or was edited"
         )
-    spec = KernelSpec.from_dict(doc["kernel"])
-    scaling = ScalingParams.from_dict(doc["scaling"])
-    stats = doc.get("y_stats", {})
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError(f"model file key 'metadata' is a {type(metadata).__name__}, not an object")
+    y_max_abs, y_norm = _read(
+        doc, "y_stats", lambda s: (float(s.get("max_abs", 0.0)), float(s.get("norm", 0.0)))
+    )
     model = FittedModel(
         knots=knots,
-        spec=spec,
-        lam=float(doc["lambda"]),
-        alpha=np.asarray(doc["alpha"], dtype=np.float64),
-        scaling=scaling,
-        y_max_abs=float(stats.get("max_abs", 0.0)),
-        y_norm=float(stats.get("norm", 0.0)),
+        spec=_read(doc, "kernel", KernelSpec.from_dict),
+        lam=_read(doc, "lambda", float),
+        alpha=_read(doc, "alpha", lambda v: np.asarray(v, dtype=np.float64)),
+        scaling=_read(doc, "scaling", ScalingParams.from_dict),
+        y_max_abs=y_max_abs,
+        y_norm=y_norm,
         gram_fingerprint=doc["gram_fingerprint"],
     )
     if version == 2 and _model_fingerprint(model) != doc["model_fingerprint"]:
@@ -489,7 +507,7 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
             "model fingerprint mismatch: kernel, lambda, scaling, knots or "
             "alpha was edited"
         )
-    return model, doc.get("metadata", {})
+    return model, metadata
 
 
 def load_model(path) -> tuple[FittedModel, dict]:

@@ -107,6 +107,27 @@ def test_predict_schema_mismatch_fails(train_csv, tmp_path, capsys):
     assert "u" in summary["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [(None, "kernel", {}, "'kernel'"), ("metadata", "feature_names", 5, "feature_names")],
+)
+def test_predict_malformed_model_reports_schema_error(
+    train_csv, tmp_path, capsys, section, key, value, named
+):
+    model = tmp_path / "m.json"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", str(model))
+    doc = json.loads(model.read_text())
+    (doc[section] if section else doc)[key] = value
+    model.write_text(json.dumps(doc))
+    code, summary, err = run_cli(
+        capsys, "predict", "--model", str(model), "--data", train_csv, "--out", str(tmp_path / "p.csv"),
+    )
+    assert code == EXIT_RUNTIME
+    assert summary["error"]["type"] == "SchemaError"
+    assert named in summary["error"]["message"]
+    assert "Traceback" not in err
+
+
 def test_model_round_trip_bit_identical_predictions(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
     run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)

@@ -219,15 +219,22 @@ def test_membership_mask_bits():
     points = np.array([[0.6, 0.4]])
     knots = np.array([[0.2, 0.5], [0.7, 0.3]])
     masks = membership_masks(points, knots)
+    assert masks.shape == (1, 2, 1)
     # bit j set iff knot coord <= point coord
-    assert masks[0, 0] == 0b01  # knot 1: dim 0 yes, dim 1 no
-    assert masks[0, 1] == 0b10  # knot 2: dim 0 no, dim 1 yes
+    assert masks[0, 0, 0] == 0b01  # knot 1: dim 0 yes, dim 1 no
+    assert masks[0, 1, 0] == 0b10  # knot 2: dim 0 no, dim 1 yes
 
 
-def test_membership_masks_reject_wide_p():
-    rng = rng_from(7, "kernels", "wide")
-    with pytest.raises(InvalidParameterError):
-        membership_masks(rng.uniform(size=(3, 70)), rng.uniform(size=(4, 70)))
+def test_membership_masks_wide_p_span_words():
+    # p = 70 needs two uint64 words; feature j is bit j % 64 of word j // 64
+    p = 70
+    knots = np.full((2, p), 0.5)
+    knots[1, [0, 63, *range(64, 70)]] = 0.0
+    masks = membership_masks(np.zeros((1, p)), knots)
+    assert masks.shape == (1, 2, 2) and masks.dtype == np.uint64
+    assert masks[0, 0, 0] == 0 and masks[0, 0, 1] == 0
+    assert masks[0, 1, 0] == (1 << 0) | (1 << 63)
+    assert masks[0, 1, 1] == 0b111111
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +330,7 @@ def test_negative_workers_rejected():
 
 
 def test_wide_p_gram_consistent_with_pointwise():
-    # beyond 64 features the order-0 path counts per-feature instead of using bitmasks
+    # beyond 64 features each order-0 mask spans two words
     rng = rng_from(14, "kernels", "wide-gram")
     knots = DesignMatrix(rng.uniform(size=(6, 70)))
     g = gram_matrix(knots, KernelSpec.har(0)).values
@@ -332,13 +339,13 @@ def test_wide_p_gram_consistent_with_pointwise():
             assert g[i, j] == har_kernel(knots.values[i], knots.values[j], knots, 0)
 
 
-@pytest.mark.parametrize("p", [7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 64])
+@pytest.mark.parametrize("p", [7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 64, 65, 128, 129])
 def test_order0_gram_exact_at_dtype_boundaries(p):
-    # p straddles the 1/2/4/8-byte mask and term types; 45 knots leave ragged
-    # row and column tiles; 45 * 2**p crosses 2**53 between p = 47 and 48,
-    # where the integer sum gives way to float terms.  A knot at the origin
-    # puts a 2**p term in every entry, and the all-ones point's diagonal entry
-    # is the largest possible sum, 45 * 2**p.
+    # p straddles the 1/2/4/8-byte mask and term types and the 1/2/3-word
+    # masks; 45 knots leave ragged row and column tiles; 45 * 2**p crosses
+    # 2**53 between p = 47 and 48, where the integer sum gives way to float
+    # terms.  A knot at the origin puts a 2**p term in every entry, and the
+    # all-ones point's diagonal entry is the largest possible sum, 45 * 2**p.
     rng = rng_from(16, "kernels", "dtype-boundaries", p)
     vals = rng.uniform(size=(45, p))
     vals[0] = 0.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,11 +73,22 @@ def test_fit_linear_in_y():
 
 
 def test_duplicate_knots_at_lambda_zero_use_jitter():
-    # identical rows make K exactly singular; the jitter ladder must recover
-    knots = DesignMatrix(np.array([[0.4, 0.6], [0.4, 0.6]]))
-    model = fit(knots, [1.0, 1.0], T0, 0.0)
+    # identical rows make K exactly singular; the jitter ladder must recover.
+    # Three rows, not two: the 2 x 2 all-8 Gram of a duplicated pair factors
+    # without jitter, as rounding leaves its last pivot at 4e-8.
+    knots = DesignMatrix(np.array([[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]]))
+    with pytest.warns(UserWarning, match="jitter"):
+        model = fit(knots, [1.0, 1.0, 1.0], T0, 0.0)
     assert np.all(np.isfinite(model.alpha))
-    assert predict(model, knots) == pytest.approx([1.0, 1.0], rel=1e-4)
+    assert predict(model, knots) == pytest.approx([1.0, 1.0, 1.0], rel=1e-4)
+
+
+def test_well_conditioned_fit_warns_nothing():
+    rng = rng_from(33, "solver", "no-jitter")
+    knots = DesignMatrix(rng.uniform(size=(10, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(knots, rng.standard_normal(10), T0, 0.1)
 
 
 def test_fit_parameter_validation():
@@ -472,6 +484,29 @@ def test_model_file_version_and_keys(tmp_path):
     bad.write_text("not json{")
     with pytest.raises(SchemaError):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("kernel", {}),
+        ("kernel", "har"),
+        ("kernel", {"family": "rbf", "bandwidth": "wide"}),
+        ("scaling", {}),
+        ("lambda", "small"),
+        ("alpha", ["x", 1.0]),
+        ("knots", [[0.5], [0.7, 0.1]]),
+        ("y_stats", [1.0, 2.0]),
+        ("y_stats", {"max_abs": "big"}),
+        ("metadata", ["note"]),
+    ],
+)
+def test_malformed_model_file_raises_schema_error_naming_key(key, value):
+    knots = DesignMatrix(np.array([[0.5], [0.7]]))
+    doc = model_to_dict(fit(knots, [1.0, 2.0], T0, 0.5))
+    doc[key] = value
+    with pytest.raises(SchemaError, match=repr(key)):
+        model_from_dict(json.loads(json.dumps(doc)))
 
 
 def test_model_validation():
