@@ -1,11 +1,16 @@
 """Command-line front end: fit, predict, and the three study runners.
 
-Configuration merges four layers, highest priority first: command-line
-flags, the optional ``--config file.json`` document, the ``HAR_THREADS``
-environment variable (threads only), and built-in defaults.  Every run
-prints exactly one JSON line to standard output (the machine-readable
-summary, or ``{"error": ...}`` on failure); progress and warnings go to
-standard error.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Each option is declared once (`Option`): its flags, value type, choices,
+default and help.  A value resolves through that declaration from four
+layers, highest priority first: command-line flags, the optional
+``--config file.json`` document, the ``HAR_THREADS`` environment variable
+(threads only), and the declared default.  Config-file and environment
+values get the same type and choice checks as the flag, so a value the flag
+would reject is a usage error naming the key.  Every run prints exactly one
+JSON line to standard output (the machine-readable summary, or
+``{"error": ...}`` on failure); progress and warnings go to standard error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  Run it as ``har``
+or as ``python -m har.cli``.
 
 Output artifacts embed the fully resolved configuration: model files carry
 it in their metadata, study JSON reports in their ``config`` block, and the
@@ -16,15 +21,16 @@ summary plus the model file it came from.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import GENERATOR_NAME, apply_scaling, fit_scaling, load_csv, read_table, rmse
+from .data import GENERATOR_NAME, apply_scaling, fit_scaling, load_csv, read_table, rmse, write_table
 from .exceptions import HarError, SchemaError
 from .experiments import (
     BENCH_MAX_ROWS,
@@ -64,92 +70,68 @@ class UsageError(Exception):
     """Bad invocation: missing required value, malformed flag or config."""
 
 
-_COMMON_DEFAULTS = {
-    "kernel": "har",
-    "order": 0,
-    "epsilon": DEFAULT_EPSILON,
-    "grid": DEFAULT_GRID_COUNT,
-    "seed": 0,
-    "threads": None,
-    "config": None,
-}
+@dataclass(frozen=True)
+class Option:
+    """One option of a command.  ``type`` parses flag text and is the type a
+    config-file value must have (an int is a valid float); with ``many`` the
+    value is a list of ``type`` items, comma-separated on the command line."""
 
-DEFAULTS = {
-    "fit": {**_COMMON_DEFAULTS, "data": None, "target": None, "out": None},
-    "predict": {"model": None, "data": None, "out": None, "threads": None, "config": None},
-    "simulate": {**_COMMON_DEFAULTS, "out": None, "out_json": None},
-    "convergence": {
-        **_COMMON_DEFAULTS,
-        "out": None,
-        "out_json": None,
-        "repeats": DEFAULT_REPLICATIONS,
-        "n_values": list(DEFAULT_N_VALUES),
-        "test_size": DEFAULT_TEST_SIZE,
-    },
-    "bench": {
-        **_COMMON_DEFAULTS,
-        "out": None,
-        "out_json": None,
-        "datasets": None,
-        "repeats": DEFAULT_REPEATS,
-        "train_frac": BENCH_TRAIN_FRACTION,
-        "max_rows": BENCH_MAX_ROWS,
-    },
-}
+    flags: tuple
+    help: str
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    many: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flags[0][2:].replace("-", "_")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="har",
-        description="Adaptive-kernel ridge regression: fit, predict, and seeded studies.",
+_CONFIG = Option(("--config",), "JSON file of option defaults; flags win")
+_THREADS = Option(("--threads",), "worker cap for kernel matrices; 0 = auto", int)
+_TUNING = (
+    Option(("--kernel",), "kernel family", str, "har", FAMILIES),
+    Option(("--order",), "spline order t for the adaptive kernel", int, 0),
+    Option(("--epsilon",), "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON),
+    Option(("--grid",), "lambda grid size", int, DEFAULT_GRID_COUNT),
+    Option(("--seed",), "master seed", int, 0),
+    _THREADS,
+)
+
+
+def _study_outputs(csv_help: str, json_help: str) -> tuple:
+    return (
+        Option(("--out",), csv_help),
+        Option(("--out-json",), f"{json_help}; default derived from --out"),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, kernel=True):
-        p.add_argument("--config", help="JSON file of option defaults; flags win")
-        p.add_argument("--threads", type=int, help="worker cap for kernel matrices; 0 = auto")
-        if kernel:
-            p.add_argument("--kernel", choices=FAMILIES, help="kernel family")
-            p.add_argument("--order", type=int, help="spline order t for the adaptive kernel")
-            p.add_argument("--epsilon", type=float, help="prediction-suppression level for the lambda bound")
-            p.add_argument("--grid", type=int, help="lambda grid size")
-            p.add_argument("--seed", type=int, help="master seed")
 
-    p_fit = sub.add_parser("fit", help="tune and fit a model on a CSV, save it as JSON")
-    common(p_fit)
-    p_fit.add_argument("--data", help="training CSV (header row required)")
-    p_fit.add_argument("--target", help="target column name; default last column")
-    p_fit.add_argument("--out", help="model output path")
+def _check(opt: Option, value, where: str):
+    """The value of `opt` from flag or environment text or a config-file
+    JSON value; anything the flag would reject is a UsageError."""
 
-    p_pred = sub.add_parser("predict", help="apply a saved model to a feature CSV")
-    common(p_pred, kernel=False)
-    p_pred.add_argument("--model", help="model JSON from fit")
-    p_pred.add_argument("--data", help="feature CSV; model's feature columns selected by name")
-    p_pred.add_argument("--out", help="predictions CSV path")
+    def one(item):
+        accepted = (int, float) if opt.type is float else opt.type
+        if isinstance(item, bool) or not isinstance(item, (str, accepted)):
+            raise TypeError(item)
+        item = opt.type(item)
+        if opt.choices is not None and item not in opt.choices:
+            raise ValueError(item)
+        return item
 
-    p_sim = sub.add_parser("simulate", help="1-D fit-shape study: all families on one seeded draw")
-    common(p_sim)
-    p_sim.add_argument("--out", help="fit-curve CSV path")
-    p_sim.add_argument("--out-json", dest="out_json", help="config/selection JSON path; default derived from --out")
-
-    p_conv = sub.add_parser("convergence", help="10-D convergence study against the benchmark decay curve")
-    common(p_conv)
-    p_conv.add_argument("--repeats", "--reps", dest="repeats", type=int, help="replications per sample size")
-    p_conv.add_argument("--n-values", dest="n_values", help="comma-separated ascending sample sizes")
-    p_conv.add_argument("--test-size", dest="test_size", type=int, help="test rows per replication")
-    p_conv.add_argument("--out", help="report CSV path")
-    p_conv.add_argument("--out-json", dest="out_json", help="report JSON path; default derived from --out")
-
-    p_bench = sub.add_parser("bench", help="multi-dataset RMSE comparison over seeded splits")
-    common(p_bench)
-    p_bench.add_argument("--datasets", help="comma-separated CSV paths")
-    p_bench.add_argument("--repeats", type=int, help="independent split/tune/test repeats")
-    p_bench.add_argument("--train-frac", dest="train_frac", type=float, help="training fraction of each split")
-    p_bench.add_argument("--max-rows", dest="max_rows", type=int, help="row cap applied before splitting")
-    p_bench.add_argument("--out", help="report CSV path")
-    p_bench.add_argument("--out-json", dest="out_json", help="report JSON path; default derived from --out")
-
-    return parser
+    try:
+        if not opt.many:
+            return one(value)
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise TypeError(value)
+        return [one(item) for item in items if item != ""]
+    except (TypeError, ValueError):
+        kind = f"one of {list(opt.choices)}" if opt.choices else f"of type {opt.type.__name__}"
+        if opt.many:
+            kind = f"a comma-separated list, each item {kind}"
+        raise UsageError(f"{where} must be {kind}, got {value!r}") from None
 
 
 def _load_config_file(path) -> dict:
@@ -165,44 +147,25 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Resolve flags > config file > environment (threads) > defaults."""
-    command = args.command
-    defaults = DEFAULTS[command]
-    cfg = dict(defaults)
-    cfg["command"] = command
-
-    if args.config is not None:
-        file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise UsageError(
-                f"config file keys not recognized for {command!r}: {sorted(unknown)}"
-            )
-        cfg.update(file_cfg)
-
-    for key in defaults:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            cfg[key] = flag_val
-
-    if cfg.get("threads") is None and os.environ.get(THREADS_ENV):
-        try:
-            cfg["threads"] = int(os.environ[THREADS_ENV])
-        except ValueError:
-            raise UsageError(
-                f"{THREADS_ENV} must be an integer, got {os.environ[THREADS_ENV]!r}"
-            ) from None
-
-    if isinstance(cfg.get("datasets"), str):
-        cfg["datasets"] = [s for s in cfg["datasets"].split(",") if s]
-    if isinstance(cfg.get("n_values"), str):
-        try:
-            cfg["n_values"] = [int(s) for s in cfg["n_values"].split(",") if s]
-        except ValueError:
-            raise UsageError(f"--n-values must be comma-separated integers, got {cfg['n_values']!r}") from None
-
-    cfg.pop("config", None)
+def _resolve(args: argparse.Namespace, options: tuple) -> dict:
+    """Each option's value from the highest layer that sets it: flag, config
+    file, HAR_THREADS (threads only), declared default."""
+    file_cfg = {} if args.config is None else _load_config_file(args.config)
+    unknown = set(file_cfg) - {opt.dest for opt in options}
+    if unknown:
+        raise UsageError(f"config file keys not recognized for {args.command!r}: {sorted(unknown)}")
+    cfg = {}
+    for opt in options:
+        if getattr(args, opt.dest) is not None:
+            cfg[opt.dest] = _check(opt, getattr(args, opt.dest), opt.flags[0])
+        elif opt.dest in file_cfg:
+            cfg[opt.dest] = _check(opt, file_cfg[opt.dest], f"config key {opt.dest!r}")
+        elif opt is _THREADS and os.environ.get(THREADS_ENV):
+            cfg[opt.dest] = _check(opt, os.environ[THREADS_ENV], THREADS_ENV)
+        else:
+            cfg[opt.dest] = opt.default
+    del cfg["config"]
+    cfg["command"] = args.command
     return cfg
 
 
@@ -225,10 +188,7 @@ def _progress(message: str) -> None:
 
 
 def _echo(cfg: dict) -> dict:
-    doc = {k: v for k, v in cfg.items() if k != "command"}
-    doc["command"] = cfg["command"]
-    doc["generator"] = GENERATOR_NAME
-    return doc
+    return {**cfg, "generator": GENERATOR_NAME}
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +267,7 @@ def cmd_predict(cfg: dict) -> dict:
         preds = predict(model, DesignMatrix(features), threads=cfg["threads"])
     else:
         preds = np.empty(0)
-
-    pred_col = _prediction_column_name(header)
-    with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*header, pred_col])
-        for i in range(rows.shape[0]):
-            writer.writerow([*(repr(float(v)) for v in rows[i]), repr(float(preds[i]))])
+    write_table(cfg["out"], [*header, _prediction_column_name(header)], np.column_stack([rows, preds]))
 
     summary = {
         "command": "predict",
@@ -327,79 +281,103 @@ def cmd_predict(cfg: dict) -> dict:
     return summary
 
 
-def cmd_simulate(cfg: dict) -> dict:
+def _run_study(cfg: dict, run, write_csv, write_json, fields) -> dict:
+    """Run a study with the shared tuning options, write its CSV and its JSON
+    twin (resolved options plus the study's protocol), and summarize."""
     _require(cfg, "out")
     out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
-    result = run_demo(
-        cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"],
+    report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
+    write_csv(report, cfg["out"])
+    write_json(report, out_json, config={**_echo(cfg), "protocol": report.config})
+    return {"command": cfg["command"], "out": str(cfg["out"]), "out_json": str(out_json), **fields(report)}
+
+
+def cmd_simulate(cfg: dict) -> dict:
+    return _run_study(
+        cfg, run_demo, write_demo_csv, write_demo_json,
+        lambda result: {"chosen": result.chosen},
     )
-    write_demo_csv(result, cfg["out"])
-    write_demo_json(result, out_json, config={**_echo(cfg), "protocol": result.config})
-    return {
-        "command": "simulate",
-        "out": str(cfg["out"]),
-        "out_json": str(out_json),
-        "chosen": result.chosen,
-    }
 
 
 def cmd_convergence(cfg: dict) -> dict:
-    _require(cfg, "out")
-    out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
-    report = run_convergence(
-        cfg["seed"],
-        n_values=cfg["n_values"],
-        replications=cfg["repeats"],
-        test_size=cfg["test_size"],
-        grid_count=cfg["grid"],
-        epsilon=cfg["epsilon"],
-        threads=cfg["threads"],
-        progress=_progress,
+    run = partial(
+        run_convergence, n_values=cfg["n_values"], replications=cfg["repeats"],
+        test_size=cfg["test_size"], progress=_progress,
     )
-    write_convergence_csv(report, cfg["out"])
-    write_convergence_json(report, out_json, config={**_echo(cfg), "protocol": report.config})
-    return {
-        "command": "convergence",
-        "out": str(cfg["out"]),
-        "out_json": str(out_json),
-        "first_ratio": report.rows[0].ratio,
-        "last_ratio": report.rows[-1].ratio,
-        "mean_rmse": [row.mean_rmse for row in report.rows],
-    }
+    return _run_study(
+        cfg, run, write_convergence_csv, write_convergence_json,
+        lambda report: {
+            "first_ratio": report.rows[0].ratio,
+            "last_ratio": report.rows[-1].ratio,
+            "mean_rmse": [row.mean_rmse for row in report.rows],
+        },
+    )
 
 
 def cmd_bench(cfg: dict) -> dict:
-    _require(cfg, "datasets", "out")
-    out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
-    report = run_benchmark(
-        cfg["datasets"],
-        cfg["seed"],
-        repeats=cfg["repeats"],
-        train_fraction=cfg["train_frac"],
-        max_rows=cfg["max_rows"],
-        grid_count=cfg["grid"],
-        epsilon=cfg["epsilon"],
-        threads=cfg["threads"],
-        progress=_progress,
+    _require(cfg, "datasets")
+    run = partial(
+        run_benchmark, cfg["datasets"], repeats=cfg["repeats"],
+        train_fraction=cfg["train_frac"], max_rows=cfg["max_rows"], progress=_progress,
     )
-    write_benchmark_csv(report, cfg["out"])
-    write_benchmark_json(report, out_json, config={**_echo(cfg), "protocol": report.config})
-    return {
-        "command": "bench",
-        "out": str(cfg["out"]),
-        "out_json": str(out_json),
-        "cells": len(report.cells),
-        "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
-    }
+    return _run_study(
+        cfg, run, write_benchmark_csv, write_benchmark_json,
+        lambda report: {
+            "cells": len(report.cells),
+            "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
+        },
+    )
 
 
+#: command -> (runner, help, options); option order is the order of the
+#: config echo in every artifact
 _COMMANDS = {
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "convergence": cmd_convergence,
-    "bench": cmd_bench,
+    "fit": (cmd_fit, "tune and fit a model on a CSV, save it as JSON", (
+        _CONFIG, *_TUNING,
+        Option(("--data",), "training CSV (header row required)"),
+        Option(("--target",), "target column name; default last column"),
+        Option(("--out",), "model output path"),
+    )),
+    "predict": (cmd_predict, "apply a saved model to a feature CSV", (
+        _CONFIG, _THREADS,
+        Option(("--model",), "model JSON from fit"),
+        Option(("--data",), "feature CSV; model's feature columns selected by name"),
+        Option(("--out",), "predictions CSV path"),
+    )),
+    "simulate": (cmd_simulate, "1-D fit-shape study: all families on one seeded draw", (
+        _CONFIG, *_TUNING, *_study_outputs("fit-curve CSV path", "config/selection JSON path"),
+    )),
+    "convergence": (cmd_convergence, "10-D convergence study against the benchmark decay curve", (
+        _CONFIG, *_TUNING, *_study_outputs("report CSV path", "report JSON path"),
+        Option(("--repeats", "--reps"), "replications per sample size", int, DEFAULT_REPLICATIONS),
+        Option(("--n-values",), "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True),
+        Option(("--test-size",), "test rows per replication", int, DEFAULT_TEST_SIZE),
+    )),
+    "bench": (cmd_bench, "multi-dataset RMSE comparison over seeded splits", (
+        _CONFIG, *_TUNING, *_study_outputs("report CSV path", "report JSON path"),
+        Option(("--datasets",), "comma-separated CSV paths", many=True),
+        Option(("--repeats",), "independent split/tune/test repeats", int, DEFAULT_REPEATS),
+        Option(("--train-frac",), "training fraction of each split", float, BENCH_TRAIN_FRACTION),
+        Option(("--max-rows",), "row cap applied before splitting", int, BENCH_MAX_ROWS),
+    )),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="har",
+        description="Adaptive-kernel ridge regression: fit, predict, and seeded studies.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in options:
+            # a list option reaches _check as text, so a bad item is a UsageError
+            p.add_argument(
+                *opt.flags, dest=opt.dest, help=opt.help,
+                type=None if opt.many else opt.type, choices=opt.choices,
+            )
+    return parser
 
 
 def _emit(doc: dict) -> None:
@@ -407,11 +385,10 @@ def _emit(doc: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run, _, options = _COMMANDS[args.command]
     try:
-        cfg = _merge_config(args)
-        summary = _COMMANDS[args.command](cfg)
+        summary = run(_resolve(args, options))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         _emit({"error": {"type": "UsageError", "message": str(exc)}})
@@ -425,3 +402,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

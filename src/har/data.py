@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -156,6 +157,30 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
     return header, rows, dropped
+
+
+def write_table(path, header, rows) -> None:
+    """Write a headed CSV that `read_table` reads back: csv quoting, ``\\n``
+    line ends, floats as ``repr(float(v))`` (the shortest decimal that
+    round-trips).  `rows` is a 2-D array, or row sequences of Python
+    scalars."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if not isinstance(rows, np.ndarray):
+            writer.writerows(rows)
+            return
+        # Python floats, whose str (what csv writes) is their repr; a block at
+        # a time, so a large table never exists as Python objects all at once
+        for start in range(0, rows.shape[0], 1024):
+            writer.writerows(rows[start:start + 1024].tolist())
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: two-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_csv(path, target: str | None = None) -> Dataset:

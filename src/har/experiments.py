@@ -26,11 +26,9 @@ generator, features are drawn before noise.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,8 @@ from .data import (
     rmse,
     rng_from,
     split_dataset,
+    write_json,
+    write_table,
 )
 from .exceptions import HarError, InvalidInputError, InvalidParameterError
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix
@@ -398,82 +398,44 @@ def run_benchmark(
 # ---------------------------------------------------------------------------
 # report files
 
-def _fmt(v) -> str:
-    # repr of a python float is the shortest decimal that round-trips
-    return repr(float(v))
+_BENCH_COLUMNS = ("dataset", "method", "n", "p", "mean_rmse", "sd_rmse", "wall_clock_seconds")
 
 
 def write_demo_csv(result: DemoResult, path) -> None:
     families = list(result.predictions)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "truth", *families])
-        for i in range(result.grid.shape[0]):
-            writer.writerow([
-                _fmt(result.grid[i]), _fmt(result.truth[i]),
-                *(_fmt(result.predictions[f][i]) for f in families),
-            ])
+    columns = [result.grid, result.truth, *(result.predictions[f] for f in families)]
+    write_table(path, ["x", "truth", *families], np.column_stack(columns))
 
 
 def write_demo_json(result: DemoResult, path, config: dict | None = None) -> None:
-    doc = {
+    write_json(path, {
         "config": config if config is not None else result.config,
         "chosen": result.chosen,
-        "train": {
-            "x": [float(v) for v in result.train_x],
-            "y": [float(v) for v in result.train_y],
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        "train": {"x": result.train_x.tolist(), "y": result.train_y.tolist()},
+    })
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "mean_rmse", "theoretical_rate", "ratio"])
-        for row in report.rows:
-            writer.writerow([row.n, _fmt(row.mean_rmse), _fmt(row.theoretical_rate), _fmt(row.ratio)])
+    header = [f.name for f in fields(ConvergenceRow)]
+    write_table(path, header, [astuple(row) for row in report.rows])
 
 
 def write_convergence_json(report: ConvergenceReport, path, config: dict | None = None) -> None:
-    doc = {
+    write_json(path, {
         "config": config if config is not None else report.config,
-        "rows": [
-            {"n": row.n, "mean_rmse": row.mean_rmse,
-             "theoretical_rate": row.theoretical_rate, "ratio": row.ratio}
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
         "rmse_by_replication": report.rmse_table,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def write_benchmark_csv(report: BenchmarkReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "method", "n", "p", "mean_rmse", "sd_rmse", "wall_clock_seconds"])
-        for c in report.cells:
-            writer.writerow([
-                c.dataset, c.method, c.n, c.p,
-                _fmt(c.mean_rmse), _fmt(c.sd_rmse), _fmt(c.wall_clock_seconds),
-            ])
+    rows = [[getattr(c, name) for name in _BENCH_COLUMNS] for c in report.cells]
+    write_table(path, _BENCH_COLUMNS, rows)
 
 
 def write_benchmark_json(report: BenchmarkReport, path, config: dict | None = None) -> None:
-    doc = {
+    write_json(path, {
         "config": config if config is not None else report.config,
-        "cells": [
-            {"dataset": c.dataset, "method": c.method, "n": c.n, "p": c.p,
-             "mean_rmse": c.mean_rmse, "sd_rmse": c.sd_rmse,
-             "wall_clock_seconds": c.wall_clock_seconds, "rmses": list(c.rmses)}
-            for c in report.cells
-        ],
+        "cells": [asdict(c) for c in report.cells],
         "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })

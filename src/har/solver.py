@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
-from .data import ScalingParams
+from .data import ScalingParams, write_json
 from .exceptions import (
     DimensionMismatchError,
     HarError,
@@ -92,7 +92,6 @@ class FittedModel:
     scaling: ScalingParams
     y_max_abs: float
     y_norm: float
-    gram_fingerprint: str
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=np.float64, copy=True).reshape(-1)
@@ -183,7 +182,6 @@ def fit(
         scaling=scaling,
         y_max_abs=float(np.max(np.abs(yv))),
         y_norm=float(np.linalg.norm(yv)),
-        gram_fingerprint=gram.knot_fingerprint,
     )
 
 
@@ -415,7 +413,6 @@ def tune(
         scaling=ScalingParams.identity(knots.p) if scaling is None else scaling,
         y_max_abs=float(np.max(np.abs(yv))),
         y_norm=float(np.linalg.norm(yv)),
-        gram_fingerprint=knots.fingerprint,
     )
     return result, model
 
@@ -445,16 +442,14 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
         "y_stats": {"max_abs": model.y_max_abs, "norm": model.y_norm},
-        "gram_fingerprint": model.gram_fingerprint,
+        "gram_fingerprint": model.knots.fingerprint,
         "model_fingerprint": _model_fingerprint(model),
         "metadata": dict(metadata) if metadata else {},
     }
 
 
 def save_model(model: FittedModel, path, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, metadata), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model, metadata))
 
 
 def _read(doc: dict, key: str, convert):
@@ -500,7 +495,6 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
         scaling=_read(doc, "scaling", ScalingParams.from_dict),
         y_max_abs=y_max_abs,
         y_norm=y_norm,
-        gram_fingerprint=doc["gram_fingerprint"],
     )
     if version == 2 and _model_fingerprint(model) != doc["model_fingerprint"]:
         raise SchemaError(

@@ -1,10 +1,15 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import har
 from har.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from har.data import rng_from
 
@@ -81,6 +86,18 @@ def test_predict_column_reorder_is_fine(train_csv, tmp_path, capsys):
     out = str(tmp_path / "p.csv")
     code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(shuffled), "--out", out)
     assert code == EXIT_OK and "rmse" in summary
+
+
+def test_predict_keeps_quoted_header_cells(tmp_path, capsys):
+    # header cells holding a comma and a quote must be re-quoted on output
+    data = tmp_path / "quoted.csv"
+    header = '"a,b","q""x",y'
+    data.write_text(header + "\n" + "".join(f"{i / 7!r},{(i % 3) / 2!r},{i / 10!r}\n" for i in range(12)))
+    model, out = str(tmp_path / "m.json"), tmp_path / "p.csv"
+    assert run_cli(capsys, "fit", "--data", str(data), "--grid", "5", "--out", model)[0] == EXIT_OK
+    code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
+    assert code == EXIT_OK and "rmse" in summary
+    assert out.read_bytes().split(b"\n")[0] == (header + ",prediction").encode()
 
 
 def test_predict_empty_feature_file(train_csv, tmp_path, capsys):
@@ -185,6 +202,28 @@ def test_unknown_config_key_is_usage_error(train_csv, tmp_path, capsys):
     assert code == EXIT_USAGE and "grids" in summary["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("fit", {"epsilon": "x"}),
+        ("convergence", {"n_values": 5}),
+        ("fit", {"grid": 2.5}),
+        ("fit", {"kernel": "cubic"}),
+    ],
+)
+def test_config_value_checked_like_its_flag(train_csv, tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["--data", train_csv] if command == "fit" else []
+    code, summary, err = run_cli(
+        capsys, command, "--config", str(cfg), *argv, "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError"
+    assert repr(next(iter(doc))) in summary["error"]["message"]
+    assert "Traceback" not in err
+
+
 def test_threads_env_fallback(train_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HAR_THREADS", "not-a-number")
     code, summary, _ = run_cli(
@@ -275,3 +314,16 @@ def test_bench_subcommand(tmp_path, capsys):
 def test_bench_requires_datasets(tmp_path, capsys):
     code, summary, _ = run_cli(capsys, "bench", "--out", str(tmp_path / "b.csv"))
     assert code == EXIT_USAGE and "--datasets" in summary["error"]["message"]
+
+
+def test_python_dash_m_runs_the_cli(train_csv, tmp_path):
+    model = tmp_path / "m.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(har.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "har.cli", "fit", "--data", train_csv, "--grid", "5", "--out", str(model)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["command"] == "fit"
+    assert json.loads(model.read_text())["metadata"]["target_name"] == "target"

@@ -515,5 +515,4 @@ def test_model_validation():
         FittedModel(
             knots=knots, spec=T0, lam=1.0, alpha=np.array([1.0, 2.0]),
             scaling=ScalingParams.identity(1), y_max_abs=1.0, y_norm=1.0,
-            gram_fingerprint="f",
         )
