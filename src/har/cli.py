@@ -262,9 +262,11 @@ def cmd_predict(cfg: dict) -> dict:
             )
         f_idx = list(range(len(header)))
 
+    raw = rows[:, f_idx]
+    # apply_scaling moves every feature value outside the training range
+    outside = (raw < model.scaling.mins) | (raw > model.scaling.maxs)
     if rows.shape[0] > 0:
-        features = apply_scaling(rows[:, f_idx], model.scaling)
-        preds = predict(model, DesignMatrix(features), threads=cfg["threads"])
+        preds = predict(model, DesignMatrix(apply_scaling(raw, model.scaling)), threads=cfg["threads"])
     else:
         preds = np.empty(0)
     write_table(cfg["out"], [*header, _prediction_column_name(header)], np.column_stack([rows, preds]))
@@ -273,6 +275,7 @@ def cmd_predict(cfg: dict) -> dict:
         "command": "predict",
         "rows": int(rows.shape[0]),
         "dropped_rows": dropped,
+        "clamped_rows": int(np.count_nonzero(outside.any(axis=1))),
         "model": str(cfg["model"]),
         "out": str(cfg["out"]),
     }

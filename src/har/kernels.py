@@ -37,10 +37,16 @@ Three kernel families share one interface:
 
 * ``rbf`` -- the Gaussian kernel ``exp(-||x - x'||^2 / (2 * bandwidth^2))``.
 
-Gram and cross matrices are assembled from row blocks of the upper triangle
-(cross: plain row blocks).  The block partition is fixed, every entry is
-written by exactly one task, and the mirror pass runs sequentially, so the
-result is bit-identical for any worker count.
+Gram matrices are assembled from fixed row blocks of the upper triangle and
+mirrored in one sequential pass.  Everything between test rows and knots
+goes through one private row-block driver, `_cross_row_blocks`: it checks
+the widths and the unit cube, splits the test rows into the same fixed
+``_ROW_BLOCK``-row blocks, evaluates each block against all knots and hands
+it to a consumer.  `cross_kernel_matrix` writes the blocks into the (m, n)
+matrix; ``solver.predict`` reduces each one straight into its predictions,
+so the m x n matrix is never held.  Every entry is written by exactly one
+task and no value depends on which worker ran its block, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -406,11 +412,11 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
         acc_dtype = np.min_scalar_type(n << p) if exact else None
         pow2 = None if exact else np.ldexp(1.0, np.arange(p + 1, dtype=np.int32))
         col_masks = membership_masks(knot_vals, knot_vals)
-        row_masks = col_masks if row_vals is knot_vals else membership_masks(row_vals, knot_vals)
         words = col_masks.shape[2]
 
         def evaluate(rows: slice, cols: slice) -> np.ndarray:
-            rm = row_masks[rows]
+            # test-row masks are built per block, so they never span all rows
+            rm = col_masks[rows] if row_vals is knot_vals else membership_masks(row_vals[rows], knot_vals)
             out = np.empty((rm.shape[0], cols.stop - cols.start))
             buf = np.empty(_TILE_ROWS * _TILE_COLS * n * words, dtype=col_masks.dtype)
             for r0 in range(0, rm.shape[0], _TILE_ROWS):
@@ -496,6 +502,11 @@ def _resolve_workers(threads: int | None) -> int:
     return int(threads)
 
 
+def _row_slices(m: int) -> list:
+    """The fixed partition of m rows into blocks of `_ROW_BLOCK` rows."""
+    return [slice(r0, min(r0 + _ROW_BLOCK, m)) for r0 in range(0, m, _ROW_BLOCK)]
+
+
 def _run_blocks(work, blocks, threads: int | None) -> None:
     workers = _resolve_workers(threads)
     if workers <= 1 or len(blocks) <= 1:
@@ -534,15 +545,42 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
     K = np.empty((n, n), dtype=np.float64)
     evaluate = _block_evaluator(spec, vals, vals)
 
-    def work(block):
-        r0, r1 = block
-        K[r0:r1, r0:n] = evaluate(slice(r0, r1), slice(r0, n))
+    def work(rows: slice):
+        K[rows, rows.start : n] = evaluate(rows, slice(rows.start, n))
 
-    blocks = [(r0, min(r0 + _ROW_BLOCK, n)) for r0 in range(0, n, _ROW_BLOCK)]
-    _run_blocks(work, blocks, threads)
+    _run_blocks(work, _row_slices(n), threads)
     _mirror_upper(K)
     K.setflags(write=False)
     return GramMatrix(values=K, spec=spec, knot_fingerprint=knots.fingerprint)
+
+
+def _cross_row_blocks(
+    test: DesignMatrix,
+    knots: DesignMatrix,
+    spec: KernelSpec,
+    consume,
+    threads: int | None = None,
+) -> None:
+    """Evaluate k(test, knots) one fixed block of test rows at a time and call
+    ``consume(rows, block)`` on each: ``rows`` is the block's slice of the
+    test rows and ``block`` a fresh (rows, n) array the consumer may keep or
+    overwrite.  Blocks may be consumed concurrently, in any order; each call
+    must touch only its own rows.
+    """
+    if test.p != knots.p:
+        raise DimensionMismatchError(
+            f"test has p={test.p} but knots have p={knots.p}"
+        )
+    if _needs_cube(spec):
+        _require_unit_cube(knots.values, "knots")
+        _require_unit_cube(test.values, "test points")
+    evaluate = _block_evaluator(spec, knots.values, test.values)
+    all_knots = slice(0, knots.n)
+
+    def work(rows: slice):
+        consume(rows, evaluate(rows, all_knots))
+
+    _run_blocks(work, _row_slices(test.n), threads)
 
 
 def cross_kernel_matrix(
@@ -552,21 +590,10 @@ def cross_kernel_matrix(
     threads: int | None = None,
 ) -> np.ndarray:
     """(m, n) matrix of kernel values between test rows and knot rows."""
-    if test.p != knots.p:
-        raise DimensionMismatchError(
-            f"test has p={test.p} but knots have p={knots.p}"
-        )
-    if _needs_cube(spec):
-        _require_unit_cube(knots.values, "knots")
-        _require_unit_cube(test.values, "test points")
-    m, n = test.n, knots.n
-    out = np.empty((m, n), dtype=np.float64)
-    evaluate = _block_evaluator(spec, knots.values, test.values)
+    out = np.empty((test.n, knots.n), dtype=np.float64)
 
-    def work(block):
-        r0, r1 = block
-        out[r0:r1, :] = evaluate(slice(r0, r1), slice(0, n))
+    def write(rows: slice, block: np.ndarray):
+        out[rows] = block
 
-    blocks = [(r0, min(r0 + _ROW_BLOCK, m)) for r0 in range(0, m, _ROW_BLOCK)]
-    _run_blocks(work, blocks, threads)
+    _cross_row_blocks(test, knots, spec, write, threads)
     return out

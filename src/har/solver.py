@@ -54,7 +54,7 @@ from .kernels import (
     DesignMatrix,
     GramMatrix,
     KernelSpec,
-    cross_kernel_matrix,
+    _cross_row_blocks,
     gram_matrix,
     membership_masks,
 )
@@ -233,8 +233,13 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
 
     Test rows must already be scaled/clamped into the unit cube for the
     har/sobolev families.  For the order-0 adaptive kernel the cross matrix
-    is contracted on the fly (same sum, bucketed associatively); the route is
-    fixed per model, so values never depend on batch size or worker count.
+    is contracted on the fly (same sum, bucketed associatively).  Every other
+    model evaluates fixed blocks of test rows against all knots and reduces
+    each row on its own as ``(block * alpha).sum(axis=1)``: numpy's pairwise
+    sum along one contiguous row, whose order depends only on the number of
+    knots, never on how many rows share the block.  The m x n cross matrix is
+    never held.  The route is fixed per model, so values never depend on
+    batch size or worker count.
     """
     if test.p != model.knots.p:
         raise DimensionMismatchError(
@@ -242,8 +247,14 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
         )
     if _use_contraction(model):
         return _order0_contraction(test.values, model.knots.values, model.alpha)
-    cross = cross_kernel_matrix(test, model.knots, model.spec, threads=threads)
-    return cross @ model.alpha
+    alpha = model.alpha
+    out = np.empty(test.n)
+
+    def reduce(rows: slice, block: np.ndarray):
+        out[rows] = (block * alpha).sum(axis=1)
+
+    _cross_row_blocks(test, model.knots, model.spec, reduce, threads)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +304,12 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
     return float(np.linalg.norm(yv)) / (epsilon * y_max)
 
 
-def _lambda0(K: np.ndarray, factor: float, eig_min: float) -> float:
-    return float(np.max(np.linalg.norm(K, axis=1))) * factor - eig_min
+def _max_row_norm(K: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(K, axis=1)))
+
+
+def _lambda0(max_row_norm: float, factor: float, eig_min: float) -> float:
+    return max_row_norm * factor - eig_min
 
 
 def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -309,7 +324,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     """
     factor = _bound_factor(_check_y(y, gram.n), epsilon)
     eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
-    return _lambda0(gram.values, factor, float(eig_min))
+    return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
 
 def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
@@ -379,9 +394,16 @@ def tune(
     scores = []
     best = None  # (index, score, lam, alpha)
     for spec in specs:
-        gram = gram_matrix(knots, spec, threads=threads)
-        w, V = eigh(gram.values, driver="evd")
-        lam0 = _lambda0(gram.values, factor, float(w[0]))
+        # tune holds the only reference to this Gram, so eigh may overwrite
+        # it; K.T is the same symmetric matrix in the column order LAPACK
+        # works in, so no copy is made
+        K = gram_matrix(knots, spec, threads=threads).values
+        row_norm = _max_row_norm(K)
+        if not math.isfinite(row_norm):
+            raise InvalidInputError(f"the {spec.family} Gram overflows float64 at p={knots.p}")
+        K.setflags(write=True)
+        w, V = eigh(K.T, driver="evd", overwrite_a=True, check_finite=False)
+        lam0 = _lambda0(row_norm, factor, float(w[0]))
         if grid_count == 1:
             grid = np.array([lam0])
         else:

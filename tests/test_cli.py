@@ -100,6 +100,20 @@ def test_predict_keeps_quoted_header_cells(tmp_path, capsys):
     assert out.read_bytes().split(b"\n")[0] == (header + ",prediction").encode()
 
 
+def test_predict_reports_clamped_rows(train_csv, tmp_path, capsys):
+    # training features span about [-3, 3]; a row is clamped when any of its
+    # model features falls outside the training range
+    model = str(tmp_path / "m.json")
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", train_csv, "--out", str(tmp_path / "t.csv"))
+    assert code == EXIT_OK and summary["clamped_rows"] == 0
+    new = tmp_path / "new.csv"
+    new.write_text("target,v,u\n0.0,0.5,0.25\n0.0,0.5,10.0\n0.0,-10.0,0.25\n")
+    code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(new), "--out", str(tmp_path / "p.csv"))
+    assert code == EXIT_OK
+    assert summary["rows"] == 3 and summary["clamped_rows"] == 2
+
+
 def test_predict_empty_feature_file(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
     run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from har.data import ScalingParams, rng_from
 from har.exceptions import (
     DimensionMismatchError,
+    InvalidInputError,
     InvalidParameterError,
     SchemaError,
     UndefinedScaleError,
@@ -143,6 +145,60 @@ def test_contraction_route_matches_cross_matrix():
         fast = predict(model, test)
         slow = cross_kernel_matrix(test, knots, T0) @ model.alpha
         assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.sobolev(), KernelSpec.rbf(0.7), KernelSpec.har(1)], ids=str)
+def test_cross_route_matches_cross_matrix(spec):
+    rng = rng_from(35, "solver", "cross-route")
+    for n, p in [(20, 1), (35, 4), (28, 7)]:
+        knots = DesignMatrix(rng.uniform(size=(n, p)))
+        model = fit(knots, rng.standard_normal(n), spec, 0.4)
+        assert not _use_contraction(model)
+        test = DesignMatrix(rng.uniform(size=(70, p)))
+        K = cross_kernel_matrix(test, knots, spec)
+        bound = 1e-10 * (np.abs(K) @ np.abs(model.alpha))
+        assert np.all(np.abs(predict(model, test) - K @ model.alpha) <= bound)
+
+
+# one knot set per route: p=6 fits the order-0 table, p=25 at n=10 does not
+_BATCH_SPECS = {
+    "sobolev": (KernelSpec.sobolev(), 6),
+    "rbf": (KernelSpec.rbf(0.5), 6),
+    "har1": (KernelSpec.har(1), 6),
+    "har0": (T0, 6),
+    "har0-past-table-cap": (T0, 25),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCH_SPECS))
+def test_row_prediction_independent_of_batch_and_threads(name):
+    spec, p = _BATCH_SPECS[name]
+    rng = rng_from(38, "solver", "batch", name)
+    n = 150 if p < 25 else 10
+    model = fit(DesignMatrix(rng.uniform(size=(n, p))), rng.standard_normal(n), spec, 1e-3)
+    X = rng.uniform(size=(1025, p))
+    alone = np.array([predict(model, DesignMatrix(X[i : i + 1]), threads=1)[0] for i in range(200)])
+    for threads in (1, 2):
+        for batch in (1, 3, 4, 1025):
+            stop = 200 if batch < 1025 else 1025
+            got = np.concatenate(
+                [predict(model, DesignMatrix(X[i : i + batch]), threads=threads) for i in range(0, stop, batch)]
+            )
+            assert np.array_equal(got[:200], alone), (threads, batch)
+
+
+def test_cross_route_predict_never_holds_the_cross_matrix():
+    rng = rng_from(39, "solver", "memory")
+    m, n = 8192, 512
+    model = fit(DesignMatrix(rng.uniform(size=(n, 4))), rng.standard_normal(n), KernelSpec.sobolev(), 0.1)
+    test = DesignMatrix(rng.uniform(size=(m, 4)))
+    tracemalloc.start()
+    try:
+        predict(model, test, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4
 
 
 def test_contraction_route_selection():
@@ -382,6 +438,14 @@ def test_monotone_shrinkage_over_grid():
         for lam in lambda_grid(lam0, 12)
     ]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+def test_tune_rejects_a_gram_that_overflows():
+    # 2**1100 per knot overflows float64; eigh must never see the infinities
+    knots = DesignMatrix(np.full((3, 1100), 0.5))
+    with pytest.raises(InvalidInputError, match="overflows"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tune(knots, [1.0, 2.0, 3.0], "har")
 
 
 def test_tune_unknown_family():
