@@ -89,7 +89,7 @@ class Option:
 
 
 _CONFIG = Option(("--config",), "JSON file of option defaults; flags win")
-_THREADS = Option(("--threads",), "worker cap for kernel matrices; 0 = auto", int)
+_THREADS = Option(("--threads",), "worker cap for kernel matrices and prediction; 0 = auto", int)
 _TUNING = (
     Option(("--kernel",), "kernel family", str, "har", FAMILIES),
     Option(("--order",), "spline order t for the adaptive kernel", int, 0),

@@ -40,13 +40,15 @@ Three kernel families share one interface:
 Gram matrices are assembled from fixed row blocks of the upper triangle and
 mirrored in one sequential pass.  Everything between test rows and knots
 goes through one private row-block driver, `_cross_row_blocks`: it checks
-the widths and the unit cube, splits the test rows into the same fixed
-``_ROW_BLOCK``-row blocks, evaluates each block against all knots and hands
-it to a consumer.  `cross_kernel_matrix` writes the blocks into the (m, n)
-matrix; ``solver.predict`` reduces each one straight into its predictions,
-so the m x n matrix is never held.  Every entry is written by exactly one
-task and no value depends on which worker ran its block, so results are
-bit-identical for any worker count.
+the widths and the unit cube once, splits the test rows into the same fixed
+``_ROW_BLOCK``-row blocks and sets each block's rows of its output with one
+per-block function.  `cross_kernel_matrix` asks it for the (m, n) matrix;
+``solver.predict`` asks for k(test, knots) @ alpha, which an order-0 model
+whose n * 2**p table fits gathers from `_order0_table` and every other model
+reduces from its evaluated block row by row, so the m x n matrix is never
+held.  Every entry is written by exactly one task and no value depends on
+which worker ran its block, so results are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -78,11 +80,13 @@ MAX_ORDER = 12
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(MAX_ORDER + 1))
 
 _ROW_BLOCK = 32
-_COL_CHUNK = 256
 # order-0 tiles of (rows, columns, knots, words) masks: 8 x 32 x 1600 x 1
-# uint16 is 0.8 MB, inside a typical per-core L2 cache
+# uint16 is 0.8 MB, inside a typical per-core L2 cache; order >= 1 blocks
+# take columns _TILE_COLS at a time too, (rows, columns, knots) float64
 _TILE_ROWS = 8
 _TILE_COLS = 32
+# order-0 prediction gathers from a table of n * 2^p floats when it fits
+_TABLE_BYTES_CAP = 200 * 2**20
 # column width of the transposed copy that mirrors a Gram's upper triangle
 _MIRROR_BLOCK = 64
 
@@ -444,8 +448,8 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
         def evaluate(rows: slice, cols: slice) -> np.ndarray:
             rv = row_vals[rows]
             out = np.empty((rv.shape[0], cols.stop - cols.start))
-            for c0 in range(cols.start, cols.stop, _COL_CHUNK):
-                c1 = min(c0 + _COL_CHUNK, cols.stop)
+            for c0 in range(cols.start, cols.stop, _TILE_COLS):
+                c1 = min(c0 + _TILE_COLS, cols.stop)
                 cv = knot_vals[c0:c1]
                 acc = np.ones((rv.shape[0], c1 - c0, knot_vals.shape[0]))
                 for j in range(p):
@@ -554,18 +558,55 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
     return GramMatrix(values=K, spec=spec, knot_fingerprint=knots.fingerprint)
 
 
+def _use_contraction(spec: KernelSpec, knots: DesignMatrix) -> bool:
+    """Whether k(test, knots) @ alpha gathers from `_order0_table`: order-0
+    har whose n * 2^p table fits `_TABLE_BYTES_CAP`."""
+    if spec.family != FAMILY_HAR or spec.order != 0:
+        return False
+    return knots.n * (1 << knots.p) * 8 <= _TABLE_BYTES_CAP
+
+
+def _order0_table(knot_vals: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """W[k, mu] = sum_b alpha_b 2^{|mu & mask(b, k)|}, an (n, 2^p) table.
+
+    Knots are bucketed by their membership bitmask against each anchor knot
+    k, and a per-bit doubling transform turns the bucket sums into W, so
+    sum_b alpha_b k0(x, X_b) = sum_k W[k, mask(x, k)]: an exact reordering
+    of the defining double sum (kernel values are integer powers of two).
+    """
+    n, p = knot_vals.shape
+    size = 1 << p
+    # one mask word holds all p bits: the table cap keeps p far below 64
+    knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]  # (b, k)
+    W = np.empty((n, size))
+    for k in range(n):
+        W[k] = np.bincount(knot_masks[:, k], weights=alpha, minlength=size)
+    for bit in range(p):
+        W = W.reshape(n, -1, 2, 1 << bit)
+        v0 = W[:, :, 0, :].copy()
+        v1 = W[:, :, 1, :]
+        W[:, :, 0, :] = v0 + v1
+        W[:, :, 1, :] = v0 + 2.0 * v1
+    return W.reshape(n, size)
+
+
 def _cross_row_blocks(
     test: DesignMatrix,
     knots: DesignMatrix,
     spec: KernelSpec,
-    consume,
+    alpha: np.ndarray | None = None,
     threads: int | None = None,
-) -> None:
-    """Evaluate k(test, knots) one fixed block of test rows at a time and call
-    ``consume(rows, block)`` on each: ``rows`` is the block's slice of the
-    test rows and ``block`` a fresh (rows, n) array the consumer may keep or
-    overwrite.  Blocks may be consumed concurrently, in any order; each call
-    must touch only its own rows.
+) -> np.ndarray:
+    """k(test, knots) as an (m, n) matrix, or k(test, knots) @ alpha as an
+    (m,) vector when ``alpha`` is given, one fixed block of test rows at a
+    time.
+
+    Each block sets ``out[rows]`` on its own, so blocks run concurrently in
+    any order.  With ``alpha``, an order-0 model whose table fits gathers
+    each row from `_order0_table`; every other model reduces its block row
+    by row as ``(block * alpha).sum(axis=1)``.  Both are numpy's pairwise
+    sum along one contiguous row of n terms, so a row's value never depends
+    on the rows that share its block or on the worker count.
     """
     if test.p != knots.p:
         raise DimensionMismatchError(
@@ -574,13 +615,29 @@ def _cross_row_blocks(
     if _needs_cube(spec):
         _require_unit_cube(knots.values, "knots")
         _require_unit_cube(test.values, "test points")
-    evaluate = _block_evaluator(spec, knots.values, test.values)
-    all_knots = slice(0, knots.n)
+    if alpha is not None and _use_contraction(spec, knots):
+        table = _order0_table(knots.values, alpha)
+        anchors = np.arange(knots.n)
+
+        def block(rows: slice) -> np.ndarray:
+            masks = membership_masks(test.values[rows], knots.values)[:, :, 0]
+            return table[anchors, masks].sum(axis=1)
+
+    else:
+        evaluate = _block_evaluator(spec, knots.values, test.values)
+        all_knots = slice(0, knots.n)
+
+        def block(rows: slice) -> np.ndarray:
+            K = evaluate(rows, all_knots)
+            return K if alpha is None else (K * alpha).sum(axis=1)
+
+    out = np.empty(test.n if alpha is not None else (test.n, knots.n))
 
     def work(rows: slice):
-        consume(rows, evaluate(rows, all_knots))
+        out[rows] = block(rows)
 
     _run_blocks(work, _row_slices(test.n), threads)
+    return out
 
 
 def cross_kernel_matrix(
@@ -590,10 +647,4 @@ def cross_kernel_matrix(
     threads: int | None = None,
 ) -> np.ndarray:
     """(m, n) matrix of kernel values between test rows and knot rows."""
-    out = np.empty((test.n, knots.n), dtype=np.float64)
-
-    def write(rows: slice, block: np.ndarray):
-        out[rows] = block
-
-    _cross_row_blocks(test, knots, spec, write, threads)
-    return out
+    return _cross_row_blocks(test, knots, spec, threads=threads)

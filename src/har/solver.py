@@ -56,7 +56,6 @@ from .kernels import (
     KernelSpec,
     _cross_row_blocks,
     gram_matrix,
-    membership_masks,
 )
 
 MODEL_FORMAT_VERSION = 2
@@ -66,9 +65,6 @@ DEFAULT_GRID_COUNT = 50
 #: Span of the lambda grid below lambda0, and the rbf bandwidth ladder.
 GRID_SPAN = 1e-8
 RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
-
-# order-0 prediction uses a bucket table of n * 2^p floats when it fits
-_TABLE_BYTES_CAP = 200 * 2**20
 
 
 def _check_y(y, n: int) -> np.ndarray:
@@ -188,73 +184,18 @@ def fit(
 # ---------------------------------------------------------------------------
 # prediction
 
-def _order0_contraction(test_vals: np.ndarray, knot_vals: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """sum_b alpha_b k0(x, X_b) without materializing the cross matrix.
-
-    Knots are bucketed by their per-knot membership bitmask against each
-    anchor knot; a per-bit doubling transform turns bucket sums into
-    W[k, mu] = sum_b alpha_b 2^{|mu & mask(b, k)|}, and each prediction is a
-    gather: sum_k W[k, mask(x, k)].  Exact reordering of the defining double
-    sum (kernel values are integer powers of two).
-    """
-    n, p = knot_vals.shape
-    size = 1 << p
-    # one mask word holds all p bits: the table cap keeps p far below 64
-    knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]  # (b, k)
-    flat_idx = np.arange(n, dtype=np.int64)[None, :] * size + knot_masks
-    W = np.bincount(
-        flat_idx.ravel(), weights=np.repeat(alpha, n), minlength=n * size
-    ).reshape(n, size)
-    for bit in range(p):
-        W = W.reshape(n, -1, 2, 1 << bit)
-        v0 = W[:, :, 0, :].copy()
-        v1 = W[:, :, 1, :]
-        W[:, :, 0, :] = v0 + v1
-        W[:, :, 1, :] = v0 + 2.0 * v1
-    W = W.reshape(n, size)
-    out = np.empty(test_vals.shape[0])
-    rows = np.arange(n)
-    for r0 in range(0, test_vals.shape[0], 1024):
-        r1 = min(r0 + 1024, test_vals.shape[0])
-        masks = membership_masks(test_vals[r0:r1], knot_vals)[:, :, 0]
-        out[r0:r1] = W[rows[None, :], masks].sum(axis=1)
-    return out
-
-
-def _use_contraction(model: FittedModel) -> bool:
-    if model.spec.family != FAMILY_HAR or model.spec.order != 0:
-        return False
-    bytes_needed = model.knots.n * (1 << model.knots.p) * 8
-    return bytes_needed <= _TABLE_BYTES_CAP
-
-
 def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = None) -> np.ndarray:
     """Predictions k(test, knots) @ alpha, one per test row.
 
     Test rows must already be scaled/clamped into the unit cube for the
-    har/sobolev families.  For the order-0 adaptive kernel the cross matrix
-    is contracted on the fly (same sum, bucketed associatively).  Every other
-    model evaluates fixed blocks of test rows against all knots and reduces
-    each row on its own as ``(block * alpha).sum(axis=1)``: numpy's pairwise
-    sum along one contiguous row, whose order depends only on the number of
-    knots, never on how many rows share the block.  The m x n cross matrix is
-    never held.  The route is fixed per model, so values never depend on
-    batch size or worker count.
+    har/sobolev families.  One row-block pass in :mod:`har.kernels` serves
+    every model: fixed blocks of test rows, each row reduced on its own (an
+    order-0 model whose n * 2^p table fits gathers from it, every other
+    model evaluates its block against all knots), optionally on ``threads``
+    workers.  The m x n cross matrix is never held, and the values never
+    depend on batch size or worker count.
     """
-    if test.p != model.knots.p:
-        raise DimensionMismatchError(
-            f"test has p={test.p} but model was fit with p={model.knots.p}"
-        )
-    if _use_contraction(model):
-        return _order0_contraction(test.values, model.knots.values, model.alpha)
-    alpha = model.alpha
-    out = np.empty(test.n)
-
-    def reduce(rows: slice, block: np.ndarray):
-        out[rows] = (block * alpha).sum(axis=1)
-
-    _cross_row_blocks(test, model.knots, model.spec, reduce, threads)
-    return out
+    return _cross_row_blocks(test, model.knots, model.spec, model.alpha, threads)
 
 
 # ---------------------------------------------------------------------------

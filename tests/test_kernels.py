@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,21 @@ def test_parallel_determinism():
         c1 = cross_kernel_matrix(test, knots, spec, threads=1)
         c4 = cross_kernel_matrix(test, knots, spec, threads=4)
         assert np.array_equal(c1, c4)
+
+
+def test_order1_cross_tile_bounded():
+    # each row block multiplies (rows, _TILE_COLS, n) float64 tiles, never a
+    # tile hundreds of knots wide
+    rng = rng_from(13, "kernels", "order1-tile")
+    knots = DesignMatrix(rng.uniform(size=(800, 3)))
+    test = DesignMatrix(rng.uniform(size=(64, 3)))
+    tracemalloc.start()
+    try:
+        cross_kernel_matrix(test, knots, KernelSpec.har(1), threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_negative_workers_rejected():

@@ -13,11 +13,17 @@ from har.exceptions import (
     SchemaError,
     UndefinedScaleError,
 )
-from har.kernels import DesignMatrix, GramMatrix, KernelSpec, cross_kernel_matrix, gram_matrix
+from har.kernels import (
+    DesignMatrix,
+    GramMatrix,
+    KernelSpec,
+    _use_contraction,
+    cross_kernel_matrix,
+    gram_matrix,
+)
 from har.solver import (
     RBF_BANDWIDTHS,
     FittedModel,
-    _use_contraction,
     fit,
     lambda_grid,
     lambda_max,
@@ -140,7 +146,7 @@ def test_contraction_route_matches_cross_matrix():
         knots = DesignMatrix(rng.uniform(size=(n, p)))
         y = rng.standard_normal(n)
         model = fit(knots, y, T0, 0.4)
-        assert _use_contraction(model)
+        assert _use_contraction(model.spec, model.knots)
         test = DesignMatrix(rng.uniform(size=(40, p)))
         fast = predict(model, test)
         slow = cross_kernel_matrix(test, knots, T0) @ model.alpha
@@ -153,7 +159,7 @@ def test_cross_route_matches_cross_matrix(spec):
     for n, p in [(20, 1), (35, 4), (28, 7)]:
         knots = DesignMatrix(rng.uniform(size=(n, p)))
         model = fit(knots, rng.standard_normal(n), spec, 0.4)
-        assert not _use_contraction(model)
+        assert not _use_contraction(model.spec, model.knots)
         test = DesignMatrix(rng.uniform(size=(70, p)))
         K = cross_kernel_matrix(test, knots, spec)
         bound = 1e-10 * (np.abs(K) @ np.abs(model.alpha))
@@ -201,17 +207,56 @@ def test_cross_route_predict_never_holds_the_cross_matrix():
     assert peak < m * n * 8 / 4
 
 
+def test_order0_table_predict_peak_below_knot_square():
+    # the table is built one anchor knot at a time, never from an n x n index
+    rng = rng_from(41, "solver", "table-memory")
+    n, p = 2000, 3
+    model = FittedModel(
+        knots=DesignMatrix(rng.uniform(size=(n, p))), spec=T0, lam=1.0,
+        alpha=rng.standard_normal(n), scaling=ScalingParams.identity(p), y_max_abs=1.0, y_norm=1.0,
+    )
+    assert _use_contraction(model.spec, model.knots)
+    test = DesignMatrix(rng.uniform(size=(64, p)))
+    tracemalloc.start()
+    try:
+        predict(model, test, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+# p=3 fits the order-0 table, p=25 at n=10 does not
+_CUBE_SPECS = {
+    "har0": (T0, 3),
+    "har0-past-table-cap": (T0, 25),
+    "sobolev": (KernelSpec.sobolev(), 3),
+    "har1": (KernelSpec.har(1), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_CUBE_SPECS))
+def test_predict_rejects_out_of_cube_row(name):
+    spec, p = _CUBE_SPECS[name]
+    rng = rng_from(42, "solver", "cube", name)
+    model = fit(DesignMatrix(rng.uniform(size=(10, p))), rng.standard_normal(10), spec, 0.5)
+    row = np.full((1, p), 0.5)
+    row[0, :3] = [1.5, -0.3, 2.0]
+    with pytest.raises(InvalidInputError):
+        predict(model, DesignMatrix(row))
+
+
 def test_contraction_route_selection():
     rng = rng_from(36, "solver", "route-sel")
     small = fit(DesignMatrix(rng.uniform(size=(10, 3))), rng.standard_normal(10), T0, 0.5)
-    assert _use_contraction(small)
+    assert _use_contraction(small.spec, small.knots)
     order1 = fit(DesignMatrix(rng.uniform(size=(10, 3))), rng.standard_normal(10), KernelSpec.har(1), 0.5)
-    assert not _use_contraction(order1)
+    assert not _use_contraction(order1.spec, order1.knots)
     rbf = fit(DesignMatrix(rng.uniform(size=(10, 3))), rng.standard_normal(10), KernelSpec.rbf(1.0), 0.5)
-    assert not _use_contraction(rbf)
+    assert not _use_contraction(rbf.spec, rbf.knots)
     # table would need n * 2^p doubles; p=25 at n=10 blows the cap
     wide = fit(DesignMatrix(rng.uniform(size=(10, 25))), rng.standard_normal(10), T0, 0.5)
-    assert not _use_contraction(wide)
+    assert not _use_contraction(wide.spec, wide.knots)
 
 
 def test_predict_dimension_mismatch():
