@@ -12,10 +12,10 @@ JSON line to standard output (the machine-readable summary, or
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Run it as ``har``
 or as ``python -m har.cli``.
 
-Output artifacts embed the fully resolved configuration: model files carry
-it in their metadata, study JSON reports in their ``config`` block, and the
-predictions CSV (which has no side channel) is covered by the stdout
-summary plus the model file it came from.
+Each command declares only the options its runner reads.  Model files carry
+the resolved options in their metadata; a study's JSON twin carries only the
+record its runner returns.  The predictions CSV (which has no side channel) is
+covered by the stdout summary plus the model file it came from.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GENERATOR_NAME, apply_scaling, fit_scaling, load_csv, read_table, rmse, write_table
+from .data import apply_scaling, fit_scaling, load_csv, read_table, rmse, write_table
 from .exceptions import HarError, SchemaError
 from .experiments import (
     BENCH_MAX_ROWS,
@@ -91,17 +91,16 @@ class Option:
 _CONFIG = Option(("--config",), "JSON file of option defaults; flags win")
 _THREADS = Option(("--threads",), "worker cap for kernel matrices and prediction; 0 = auto", int)
 _TUNING = (
-    Option(("--kernel",), "kernel family", str, "har", FAMILIES),
-    Option(("--order",), "spline order t for the adaptive kernel", int, 0),
     Option(("--epsilon",), "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON),
     Option(("--grid",), "lambda grid size", int, DEFAULT_GRID_COUNT),
-    Option(("--seed",), "master seed", int, 0),
     _THREADS,
 )
 
 
-def _study_outputs(csv_help: str, json_help: str) -> tuple:
+def _study_options(csv_help: str, json_help: str) -> tuple:
     return (
+        _CONFIG, *_TUNING,
+        Option(("--seed",), "master seed", int, 0),
         Option(("--out",), csv_help),
         Option(("--out-json",), f"{json_help}; default derived from --out"),
     )
@@ -140,7 +139,7 @@ def _load_config_file(path) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -187,10 +186,6 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _echo(cfg: dict) -> dict:
-    return {**cfg, "generator": GENERATOR_NAME}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -209,7 +204,7 @@ def cmd_fit(cfg: dict) -> dict:
         "feature_names": list(dataset.feature_names),
         "target_name": dataset.target_name,
         "dropped_rows": dataset.n_dropped,
-        "config": _echo(cfg),
+        "config": cfg,
     }
     save_model(model, cfg["out"], metadata=metadata)
     return {
@@ -286,12 +281,12 @@ def cmd_predict(cfg: dict) -> dict:
 
 def _run_study(cfg: dict, run, write_csv, write_json, fields) -> dict:
     """Run a study with the shared tuning options, write its CSV and its JSON
-    twin (resolved options plus the study's protocol), and summarize."""
+    twin (whose ``config`` block is the runner's own record), and summarize."""
     _require(cfg, "out")
     out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
     report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
     write_csv(report, cfg["out"])
-    write_json(report, out_json, config={**_echo(cfg), "protocol": report.config})
+    write_json(report, out_json)
     return {"command": cfg["command"], "out": str(cfg["out"]), "out_json": str(out_json), **fields(report)}
 
 
@@ -332,11 +327,14 @@ def cmd_bench(cfg: dict) -> dict:
     )
 
 
-#: command -> (runner, help, options); option order is the order of the
-#: config echo in every artifact
+#: command -> (runner, help, options); each runner reads every option it
+#: declares, and fit's option order is the order of its model-metadata echo
 _COMMANDS = {
     "fit": (cmd_fit, "tune and fit a model on a CSV, save it as JSON", (
-        _CONFIG, *_TUNING,
+        _CONFIG,
+        Option(("--kernel",), "kernel family", str, "har", FAMILIES),
+        Option(("--order",), "spline order t for the adaptive kernel", int, 0),
+        *_TUNING,
         Option(("--data",), "training CSV (header row required)"),
         Option(("--target",), "target column name; default last column"),
         Option(("--out",), "model output path"),
@@ -348,16 +346,16 @@ _COMMANDS = {
         Option(("--out",), "predictions CSV path"),
     )),
     "simulate": (cmd_simulate, "1-D fit-shape study: all families on one seeded draw", (
-        _CONFIG, *_TUNING, *_study_outputs("fit-curve CSV path", "config/selection JSON path"),
+        *_study_options("fit-curve CSV path", "config/selection JSON path"),
     )),
     "convergence": (cmd_convergence, "10-D convergence study against the benchmark decay curve", (
-        _CONFIG, *_TUNING, *_study_outputs("report CSV path", "report JSON path"),
-        Option(("--repeats", "--reps"), "replications per sample size", int, DEFAULT_REPLICATIONS),
+        *_study_options("report CSV path", "report JSON path"),
+        Option(("--repeats",), "replications per sample size", int, DEFAULT_REPLICATIONS),
         Option(("--n-values",), "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True),
         Option(("--test-size",), "test rows per replication", int, DEFAULT_TEST_SIZE),
     )),
     "bench": (cmd_bench, "multi-dataset RMSE comparison over seeded splits", (
-        _CONFIG, *_TUNING, *_study_outputs("report CSV path", "report JSON path"),
+        *_study_options("report CSV path", "report JSON path"),
         Option(("--datasets",), "comma-separated CSV paths", many=True),
         Option(("--repeats",), "independent split/tune/test repeats", int, DEFAULT_REPEATS),
         Option(("--train-frac",), "training fraction of each split", float, BENCH_TRAIN_FRACTION),

@@ -104,11 +104,11 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     Cells must be numeric or blank.  A blank or non-finite cell (nan/inf)
     drops its whole row, counted and warned about once; a non-blank cell that
     fails to parse as a number rejects the file, naming the column, and so
-    does a file that is not UTF-8 text.  The row array may have zero rows
-    (header-only file).
+    does a file that is not UTF-8 text (a leading byte-order mark is skipped).
+    The row array may have zero rows (header-only file).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

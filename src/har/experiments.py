@@ -407,9 +407,9 @@ def write_demo_csv(result: DemoResult, path) -> None:
     write_table(path, ["x", "truth", *families], np.column_stack(columns))
 
 
-def write_demo_json(result: DemoResult, path, config: dict | None = None) -> None:
+def write_demo_json(result: DemoResult, path) -> None:
     write_json(path, {
-        "config": config if config is not None else result.config,
+        "config": result.config,
         "chosen": result.chosen,
         "train": {"x": result.train_x.tolist(), "y": result.train_y.tolist()},
     })
@@ -420,9 +420,9 @@ def write_convergence_csv(report: ConvergenceReport, path) -> None:
     write_table(path, header, [astuple(row) for row in report.rows])
 
 
-def write_convergence_json(report: ConvergenceReport, path, config: dict | None = None) -> None:
+def write_convergence_json(report: ConvergenceReport, path) -> None:
     write_json(path, {
-        "config": config if config is not None else report.config,
+        "config": report.config,
         "rows": [asdict(row) for row in report.rows],
         "rmse_by_replication": report.rmse_table,
     })
@@ -433,9 +433,9 @@ def write_benchmark_csv(report: BenchmarkReport, path) -> None:
     write_table(path, _BENCH_COLUMNS, rows)
 
 
-def write_benchmark_json(report: BenchmarkReport, path, config: dict | None = None) -> None:
+def write_benchmark_json(report: BenchmarkReport, path) -> None:
     write_json(path, {
-        "config": config if config is not None else report.config,
+        "config": report.config,
         "cells": [asdict(c) for c in report.cells],
         "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
     })

@@ -473,7 +473,7 @@ def load_model(path) -> tuple[FittedModel, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")

@@ -12,6 +12,7 @@ import pytest
 import har
 from har.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from har.data import rng_from
+from har.experiments import run_demo
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +54,7 @@ def test_fit_writes_model_and_summary(train_csv, tmp_path, capsys):
     doc = json.loads(open(out).read())
     assert doc["metadata"]["feature_names"] == ["u", "v"]
     assert doc["metadata"]["target_name"] == "target"
-    assert doc["metadata"]["config"]["seed"] == 0  # default echoed
+    assert doc["metadata"]["config"]["order"] == 0  # default echoed
 
 
 def test_predict_on_training_file_reproduces_train_rmse(train_csv, tmp_path, capsys):
@@ -159,6 +160,35 @@ def test_predict_malformed_model_reports_schema_error(
     assert "Traceback" not in err
 
 
+def test_byte_order_mark_is_not_part_of_a_column_name(train_csv, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(train_csv).read_bytes())
+    model = tmp_path / "m.json"
+    assert run_cli(capsys, "fit", "--data", str(bom), "--grid", "5", "--out", str(model))[0] == EXIT_OK
+    assert json.loads(model.read_text())["metadata"]["feature_names"] == ["u", "v"]
+    code, summary, _ = run_cli(
+        capsys, "predict", "--model", str(model), "--data", train_csv, "--out", str(tmp_path / "p.csv"),
+    )
+    assert code == EXIT_OK and summary["rows"] == 60
+
+
+@pytest.mark.parametrize(
+    "flag, exit_code, error_type",
+    [("--model", EXIT_RUNTIME, "SchemaError"), ("--config", EXIT_USAGE, "UsageError")],
+)
+def test_non_utf8_model_or_config_file_is_reported(
+    train_csv, tmp_path, capsys, flag, exit_code, error_type
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = ["predict", "--model", str(bad)] if flag == "--model" else ["fit", "--config", str(bad)]
+    code, summary, err = run_cli(capsys, *argv, "--data", train_csv, "--out", str(tmp_path / "out"))
+    assert code == exit_code
+    assert summary["error"]["type"] == error_type
+    assert str(bad) in summary["error"]["message"]
+    assert "Traceback" not in err
+
+
 def test_model_round_trip_bit_identical_predictions(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
     run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
@@ -194,7 +224,7 @@ def test_unknown_kernel_choice_rejected_by_parser(capsys):
 
 def test_config_file_layer_and_flag_precedence(train_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kernel": "sobolev", "grid": 5, "seed": 42}))
+    cfg.write_text(json.dumps({"kernel": "sobolev", "grid": 5, "epsilon": 0.01}))
     out = str(tmp_path / "m.json")
     code, summary, _ = run_cli(
         capsys, "fit", "--config", str(cfg), "--data", train_csv,
@@ -203,7 +233,7 @@ def test_config_file_layer_and_flag_precedence(train_csv, tmp_path, capsys):
     assert code == EXIT_OK
     assert summary["kernel"]["family"] == "har"  # flag beats config
     doc = json.loads(open(out).read())
-    assert doc["metadata"]["config"]["seed"] == 42  # config beats default
+    assert doc["metadata"]["config"]["epsilon"] == 0.01  # config beats default
     assert doc["metadata"]["config"]["grid"] == 5
 
 
@@ -214,6 +244,30 @@ def test_unknown_config_key_is_usage_error(train_csv, tmp_path, capsys):
         capsys, "fit", "--config", str(cfg), "--data", train_csv, "--out", str(tmp_path / "m.json"),
     )
     assert code == EXIT_USAGE and "grids" in summary["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--seed", "3"],
+        *([study, flag, value] for study in ("simulate", "convergence", "bench")
+          for flag, value in (("--kernel", "sobolev"), ("--order", "1"))),
+        ["convergence", "--reps", "2"],
+    ],
+    ids="-".join,
+)
+def test_option_a_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_config_key_a_command_does_not_read_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "sobolev"}))
+    code, summary, _ = run_cli(capsys, "convergence", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError" and "'kernel'" in summary["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -255,8 +309,7 @@ def test_threads_env_fallback(train_csv, tmp_path, capsys, monkeypatch):
 # study subcommands
 
 def test_simulate_writes_both_files_deterministically(tmp_path, capsys, monkeypatch):
-    # identical invocations (same relative paths) must be byte-identical,
-    # JSON config echo included
+    # identical invocations must be byte-identical, JSON config included
     out1 = tmp_path / "r1" ; out1.mkdir()
     out2 = tmp_path / "r2" ; out2.mkdir()
     for out in (out1, out2):
@@ -269,6 +322,19 @@ def test_simulate_writes_both_files_deterministically(tmp_path, capsys, monkeypa
         assert set(summary["chosen"]) == {"har", "sobolev", "rbf"}
     assert filecmp.cmp(out1 / "demo.csv", out2 / "demo.csv", shallow=False)
     assert filecmp.cmp(out1 / "demo.json", out2 / "demo.json", shallow=False)
+
+
+def test_simulate_json_is_the_runner_record_whatever_the_threads_or_path(tmp_path, capsys):
+    for threads, name in (("1", "a"), ("2", "b")):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--seed", "11", "--grid", "5",
+            "--threads", threads, "--out", str(tmp_path / f"{name}.csv"),
+        )
+        assert code == EXIT_OK
+    assert filecmp.cmp(tmp_path / "a.csv", tmp_path / "b.csv", shallow=False)
+    assert filecmp.cmp(tmp_path / "a.json", tmp_path / "b.json", shallow=False)
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert doc["config"] == run_demo(11, grid_count=5).config
 
 
 def test_simulate_derives_json_path(tmp_path, capsys):
@@ -293,7 +359,7 @@ def test_convergence_subcommand(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 3 and rows[0][0] == "n"
     doc = json.loads((tmp_path / "conv.json").read_text())
-    assert doc["config"]["command"] == "convergence"
+    assert doc["config"]["operation"] == "convergence"
     assert doc["config"]["seed"] == 4
 
 
