@@ -135,7 +135,7 @@ def _check(opt: Option, value, where: str):
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None

@@ -30,8 +30,9 @@ class UnsupportedSizeError(HarError, ValueError):
 
 
 class SingularSystemError(HarError, RuntimeError):
-    """The regularized kernel system could not be factorized even after jitter
-    escalation. Carries the final jitter tried in the message."""
+    """K + lambda I is not positive definite at the lambda asked for, so it
+    has no Cholesky factor. The message names lambda; no jitter is added, so
+    a model never solves a lambda other than the one it records."""
 
 
 class UndefinedScaleError(HarError, ValueError):

@@ -98,14 +98,17 @@ def interaction_mean(X: np.ndarray) -> np.ndarray:
     return smooth - np.prod(ramps, axis=1)
 
 
+def _draw_interaction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n draws of X ~ Unif[0,1]^10, then Y = mean(X) + N(0, 0.1^2), from `rng`."""
+    X = rng.uniform(size=(n, INTERACTION_P))
+    return X, interaction_mean(X) + INTERACTION_NOISE_SD * rng.standard_normal(n)
+
+
 def simulate_interaction_10d(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n draws of X ~ Unif[0,1]^10, Y = mean(X) + N(0, 0.1^2)."""
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n!r}")
-    rng = rng_from(seed, "interaction")
-    X = rng.uniform(size=(n, INTERACTION_P))
-    y = interaction_mean(X) + INTERACTION_NOISE_SD * rng.standard_normal(n)
-    return X, y
+    return _draw_interaction(rng_from(seed, "interaction"), n)
 
 
 def theoretical_rate(n: int, p: int = INTERACTION_P) -> float:
@@ -232,14 +235,10 @@ def run_convergence(
 
     errors = np.zeros((len(n_values), replications))
     for r in range(replications):
-        test_seed_rng = rng_from(seed, "convergence", "test", r)
-        X_test = test_seed_rng.uniform(size=(test_size, INTERACTION_P))
-        y_test = interaction_mean(X_test) + INTERACTION_NOISE_SD * test_seed_rng.standard_normal(test_size)
+        X_test, y_test = _draw_interaction(rng_from(seed, "convergence", "test", r), test_size)
         test = DesignMatrix(X_test)
         for i, n in enumerate(n_values):
-            train_rng = rng_from(seed, "convergence", "train", n, r)
-            X_train = train_rng.uniform(size=(n, INTERACTION_P))
-            y_train = interaction_mean(X_train) + INTERACTION_NOISE_SD * train_rng.standard_normal(n)
+            X_train, y_train = _draw_interaction(rng_from(seed, "convergence", "train", n, r), n)
             _, model = tune(
                 DesignMatrix(X_train), y_train, FAMILY_HAR,
                 order=0, epsilon=epsilon, grid_count=grid_count, threads=threads,

@@ -20,9 +20,9 @@ one Gram matrix per kernel candidate:
 `tune` factors each Gram once, K = V diag(w) V^T: eigmin(K) = w[0] sets
 lambda0, two matrix products give alpha and the inverse diagonal at every
 grid point, and the winner's alpha is its column of that product, so no
-second factorization is made.  `fit`, for an explicit lambda, keeps a
-Cholesky factorization with an escalating jitter retry for the
-near-singular lambda ~ 0 corner.
+second factorization is made.  `fit`, for an explicit lambda, makes one
+Cholesky factorization of K + lambda I and raises SingularSystemError if
+it fails, so a model's alpha always solves the lambda it records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +77,14 @@ def _check_y(y, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
-    """Everything needed to predict: knots, kernel, lambda, dual weights,
-    the feature scaling that produced the knots, and provenance."""
+    """Everything needed to predict, and nothing else: knots, kernel,
+    lambda, dual weights and the feature scaling that produced the knots."""
 
     knots: DesignMatrix
     spec: KernelSpec
     lam: float
     alpha: np.ndarray
     scaling: ScalingParams
-    y_max_abs: float
-    y_norm: float
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=np.float64, copy=True).reshape(-1)
@@ -108,37 +105,6 @@ class FittedModel:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-def _cholesky_with_jitter(K: np.ndarray, lam: float):
-    """Factor K + lam I, retrying with jitter 1e-12 tr(K)/n escalated x10
-    up to three times before giving up; a jitter that succeeds is warned
-    about once."""
-    A = np.array(K, copy=True)
-    idx = np.diag_indices_from(A)
-    A[idx] += lam
-    try:
-        return cho_factor(A, lower=True)
-    except LinAlgError:
-        pass
-    base = 1e-12 * float(np.trace(K)) / K.shape[0]
-    if not (base > 0.0):
-        base = 1e-12
-    jitter = base
-    for _ in range(3):
-        B = np.array(A, copy=True)
-        B[idx] += jitter
-        try:
-            factor = cho_factor(B, lower=True)
-        except LinAlgError:
-            jitter *= 10.0
-            continue
-        warnings.warn(f"K + lambda I needed jitter {jitter:.3e} at lambda={lam:g}", stacklevel=3)
-        return factor
-    raise SingularSystemError(
-        f"kernel system is numerically singular at lambda={lam:g}; "
-        f"final jitter tried was {jitter / 10.0:.3e}"
-    )
-
-
 def fit(
     knots: DesignMatrix,
     y,
@@ -149,7 +115,8 @@ def fit(
     gram: GramMatrix | None = None,
     threads: int | None = None,
 ) -> FittedModel:
-    """Solve (K + lambda I) alpha = y for the given kernel.
+    """Solve (K + lambda I) alpha = y for the given kernel by one Cholesky
+    factorization; SingularSystemError if K + lambda I does not factor.
 
     A precomputed ``gram`` is accepted to avoid rebuilding (its provenance
     must match the knots and spec).  ``scaling`` is carried on the model for
@@ -166,18 +133,16 @@ def fit(
             raise InvalidParameterError("gram was built from different knots")
         if gram.spec != spec:
             raise InvalidParameterError("gram was built for a different kernel spec")
-    factor = _cholesky_with_jitter(gram.values, lam)
-    alpha = cho_solve(factor, yv)
+    A = np.array(gram.values, copy=True)
+    A[np.diag_indices_from(A)] += lam
+    try:
+        factor = cho_factor(A, lower=True)
+    except LinAlgError:
+        raise SingularSystemError(f"K + lambda I is not positive definite at lambda={lam:g}") from None
     if scaling is None:
         scaling = ScalingParams.identity(knots.p)
     return FittedModel(
-        knots=knots,
-        spec=spec,
-        lam=float(lam),
-        alpha=alpha,
-        scaling=scaling,
-        y_max_abs=float(np.max(np.abs(yv))),
-        y_norm=float(np.linalg.norm(yv)),
+        knots=knots, spec=spec, lam=float(lam), alpha=cho_solve(factor, yv), scaling=scaling
     )
 
 
@@ -374,8 +339,6 @@ def tune(
         lam=lam_sel,
         alpha=best[3],
         scaling=ScalingParams.identity(knots.p) if scaling is None else scaling,
-        y_max_abs=float(np.max(np.abs(yv))),
-        y_norm=float(np.linalg.norm(yv)),
     )
     return result, model
 
@@ -404,7 +367,6 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "scaling": model.scaling.to_dict(),
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
-        "y_stats": {"max_abs": model.y_max_abs, "norm": model.y_norm},
         "gram_fingerprint": model.knots.fingerprint,
         "model_fingerprint": _model_fingerprint(model),
         "metadata": dict(metadata) if metadata else {},
@@ -428,7 +390,9 @@ def _read(doc: dict, key: str, convert):
 
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     """Version 2 files must match their fingerprint of every prediction
-    input; version 1 files carry only the knots' fingerprint."""
+    input; version 1 files carry only the knots' fingerprint.  Keys outside
+    the prediction inputs, such as the ``y_stats`` older builds wrote, are
+    ignored."""
     version = doc.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise SchemaError(
@@ -447,17 +411,12 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError(f"model file key 'metadata' is a {type(metadata).__name__}, not an object")
-    y_max_abs, y_norm = _read(
-        doc, "y_stats", lambda s: (float(s.get("max_abs", 0.0)), float(s.get("norm", 0.0)))
-    )
     model = FittedModel(
         knots=knots,
         spec=_read(doc, "kernel", KernelSpec.from_dict),
         lam=_read(doc, "lambda", float),
         alpha=_read(doc, "alpha", lambda v: np.asarray(v, dtype=np.float64)),
         scaling=_read(doc, "scaling", ScalingParams.from_dict),
-        y_max_abs=y_max_abs,
-        y_norm=y_norm,
     )
     if version == 2 and _model_fingerprint(model) != doc["model_fingerprint"]:
         raise SchemaError(
@@ -470,7 +429,7 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
 def load_model(path) -> tuple[FittedModel, dict]:
     """Read a model file back; predictions from the loaded model are
     bit-identical to the original (floats round-trip exactly)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON

@@ -189,6 +189,26 @@ def test_non_utf8_model_or_config_file_is_reported(
     assert "Traceback" not in err
 
 
+def test_byte_order_mark_before_config_file_is_accepted(train_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'\xef\xbb\xbf{"grid": 5}')
+    model = tmp_path / "m.json"
+    code, _, _ = run_cli(capsys, "fit", "--config", str(cfg), "--data", train_csv, "--out", str(model))
+    assert code == EXIT_OK
+    assert json.loads(model.read_text())["metadata"]["config"]["grid"] == 5
+
+
+def test_byte_order_mark_before_model_file_is_accepted(train_csv, tmp_path, capsys):
+    model, bom = tmp_path / "m.json", tmp_path / "bom.json"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", str(model))
+    bom.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    p1, p2 = str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")
+    run_cli(capsys, "predict", "--model", str(model), "--data", train_csv, "--out", p1)
+    code, _, _ = run_cli(capsys, "predict", "--model", str(bom), "--data", train_csv, "--out", p2)
+    assert code == EXIT_OK
+    assert filecmp.cmp(p1, p2, shallow=False)
+
+
 def test_model_round_trip_bit_identical_predictions(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
     run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)

@@ -11,6 +11,7 @@ from har.exceptions import (
     InvalidInputError,
     InvalidParameterError,
     SchemaError,
+    SingularSystemError,
     UndefinedScaleError,
 )
 from har.kernels import (
@@ -80,15 +81,13 @@ def test_fit_linear_in_y():
     assert np.allclose(predict(m2, test), 4.0 * predict(m1, test), rtol=1e-12)
 
 
-def test_duplicate_knots_at_lambda_zero_use_jitter():
-    # identical rows make K exactly singular; the jitter ladder must recover.
-    # Three rows, not two: the 2 x 2 all-8 Gram of a duplicated pair factors
-    # without jitter, as rounding leaves its last pivot at 4e-8.
+def test_duplicate_knots_at_lambda_zero_raise_naming_lambda():
+    # identical rows make K exactly singular, and fit solves only the lambda
+    # it was given.  Three rows, not two: the 2 x 2 all-8 Gram of a
+    # duplicated pair factors, as rounding leaves its last pivot at 4e-8.
     knots = DesignMatrix(np.array([[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]]))
-    with pytest.warns(UserWarning, match="jitter"):
-        model = fit(knots, [1.0, 1.0, 1.0], T0, 0.0)
-    assert np.all(np.isfinite(model.alpha))
-    assert predict(model, knots) == pytest.approx([1.0, 1.0, 1.0], rel=1e-4)
+    with pytest.raises(SingularSystemError, match="lambda=0"):
+        fit(knots, [1.0, 1.0, 1.0], T0, 0.0)
 
 
 def test_well_conditioned_fit_warns_nothing():
@@ -213,7 +212,7 @@ def test_order0_table_predict_peak_below_knot_square():
     n, p = 2000, 3
     model = FittedModel(
         knots=DesignMatrix(rng.uniform(size=(n, p))), spec=T0, lam=1.0,
-        alpha=rng.standard_normal(n), scaling=ScalingParams.identity(p), y_max_abs=1.0, y_norm=1.0,
+        alpha=rng.standard_normal(n), scaling=ScalingParams.identity(p),
     )
     assert _use_contraction(model.spec, model.knots)
     test = DesignMatrix(rng.uniform(size=(64, p)))
@@ -575,6 +574,19 @@ def test_version_1_model_file_still_loads(tmp_path):
         load_model(path)
 
 
+def test_model_file_with_y_stats_still_loads():
+    # older builds wrote y_stats, which no prediction input depends on
+    rng = rng_from(51, "solver", "y-stats")
+    knots = DesignMatrix(rng.uniform(size=(8, 2)))
+    doc = model_to_dict(fit(knots, rng.standard_normal(8), T0, 0.3))
+    assert "y_stats" not in doc
+    old = dict(doc, y_stats={"max_abs": 2.5, "norm": 4.0})
+    test = DesignMatrix(rng.uniform(size=(5, 2)))
+    new_model, _ = model_from_dict(json.loads(json.dumps(doc)))
+    old_model, _ = model_from_dict(json.loads(json.dumps(old)))
+    assert np.array_equal(predict(old_model, test), predict(new_model, test))
+
+
 def test_model_file_version_and_keys(tmp_path):
     knots = DesignMatrix(np.array([[0.5]]))
     model = fit(knots, [1.0], T0, 0.5)
@@ -605,8 +617,6 @@ def test_model_file_version_and_keys(tmp_path):
         ("lambda", "small"),
         ("alpha", ["x", 1.0]),
         ("knots", [[0.5], [0.7, 0.1]]),
-        ("y_stats", [1.0, 2.0]),
-        ("y_stats", {"max_abs": "big"}),
         ("metadata", ["note"]),
     ],
 )
@@ -623,5 +633,5 @@ def test_model_validation():
     with pytest.raises(DimensionMismatchError):
         FittedModel(
             knots=knots, spec=T0, lam=1.0, alpha=np.array([1.0, 2.0]),
-            scaling=ScalingParams.identity(1), y_max_abs=1.0, y_norm=1.0,
+            scaling=ScalingParams.identity(1),
         )
