@@ -1,16 +1,17 @@
 """Command-line front end: fit, predict, and the three study runners.
 
-Each option is declared once (`Option`): its flags, value type, choices,
-default and help.  A value resolves through that declaration from four
-layers, highest priority first: command-line flags, the optional
-``--config file.json`` document, the ``HAR_THREADS`` environment variable
-(threads only), and the declared default.  Config-file and environment
-values get the same type and choice checks as the flag, so a value the flag
-would reject is a usage error naming the key.  Every run prints exactly one
-JSON line to standard output (the machine-readable summary, or
-``{"error": ...}`` on failure); progress and warnings go to standard error.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Run it as ``har``
-or as ``python -m har.cli``.
+Each option is declared once (`Option`): its flag, value type, choices,
+default, whether it is required, and help.  argparse only splits argv;
+`_resolve` takes each value from four layers, highest priority first:
+command-line flags, the optional ``--config file.json`` document, the
+``HAR_THREADS`` environment variable (threads only), and the declared
+default.  It checks a value the same way whichever layer it came from, so
+a bad value, a missing required option or an unsplittable command line is
+a usage error.  Every run but ``--help`` prints exactly one JSON line to
+standard output (the machine-readable summary, or ``{"error": ...}``);
+progress, warnings and usage text go to standard error.  Exit codes:
+0 success, 1 runtime failure, 2 usage error.  Run it as ``har`` or as
+``python -m har.cli``.
 
 Each command declares only the options its runner reads.  Model files carry
 the resolved options in their metadata; a study's JSON twin carries only the
@@ -67,48 +68,57 @@ THREADS_ENV = "HAR_THREADS"
 
 
 class UsageError(Exception):
-    """Bad invocation: missing required value, malformed flag or config."""
+    """Bad invocation: unsplittable argv, missing required option, bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Splits argv; a command line it cannot split is a UsageError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 @dataclass(frozen=True)
 class Option:
-    """One option of a command.  ``type`` parses flag text and is the type a
-    config-file value must have (an int is a valid float); with ``many`` the
-    value is a list of ``type`` items, comma-separated on the command line."""
+    """One option of a command.  ``type`` parses flag and environment text
+    and is the type a config-file value must have (an int is a valid float);
+    with ``many`` the value is a list of ``type`` items, comma-separated on
+    the command line.  A ``required`` option set in no layer is an error."""
 
-    flags: tuple
+    flag: str
     help: str
     type: type = str
     default: object = None
     choices: tuple | None = None
     many: bool = False
+    required: bool = False
 
     @property
     def dest(self) -> str:
-        return self.flags[0][2:].replace("-", "_")
+        return self.flag[2:].replace("-", "_")
 
 
-_CONFIG = Option(("--config",), "JSON file of option defaults; flags win")
-_THREADS = Option(("--threads",), "worker cap for kernel matrices and prediction; 0 = auto", int)
+_THREADS = Option("--threads", "worker cap for kernel matrices and prediction; 0 = auto", int)
 _TUNING = (
-    Option(("--epsilon",), "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON),
-    Option(("--grid",), "lambda grid size", int, DEFAULT_GRID_COUNT),
+    Option("--epsilon", "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON),
+    Option("--grid", "lambda grid size", int, DEFAULT_GRID_COUNT),
     _THREADS,
 )
 
 
 def _study_options(csv_help: str, json_help: str) -> tuple:
     return (
-        _CONFIG, *_TUNING,
-        Option(("--seed",), "master seed", int, 0),
-        Option(("--out",), csv_help),
-        Option(("--out-json",), f"{json_help}; default derived from --out"),
+        *_TUNING,
+        Option("--seed", "master seed", int, 0),
+        Option("--out", csv_help, required=True),
+        Option("--out-json", f"{json_help}; default derived from --out"),
     )
 
 
 def _check(opt: Option, value, where: str):
     """The value of `opt` from flag or environment text or a config-file
-    JSON value; anything the flag would reject is a UsageError."""
+    JSON value; a value off its type or choices is a UsageError."""
 
     def one(item):
         accepted = (int, float) if opt.type is float else opt.type
@@ -148,7 +158,8 @@ def _load_config_file(path) -> dict:
 
 def _resolve(args: argparse.Namespace, options: tuple) -> dict:
     """Each option's value from the highest layer that sets it: flag, config
-    file, HAR_THREADS (threads only), declared default."""
+    file, HAR_THREADS (threads only), declared default.  A required option
+    set in no layer is a UsageError."""
     file_cfg = {} if args.config is None else _load_config_file(args.config)
     unknown = set(file_cfg) - {opt.dest for opt in options}
     if unknown:
@@ -156,23 +167,17 @@ def _resolve(args: argparse.Namespace, options: tuple) -> dict:
     cfg = {}
     for opt in options:
         if getattr(args, opt.dest) is not None:
-            cfg[opt.dest] = _check(opt, getattr(args, opt.dest), opt.flags[0])
+            cfg[opt.dest] = _check(opt, getattr(args, opt.dest), opt.flag)
         elif opt.dest in file_cfg:
             cfg[opt.dest] = _check(opt, file_cfg[opt.dest], f"config key {opt.dest!r}")
         elif opt is _THREADS and os.environ.get(THREADS_ENV):
             cfg[opt.dest] = _check(opt, os.environ[THREADS_ENV], THREADS_ENV)
+        elif opt.required:
+            raise UsageError(f"{opt.flag} is required for {args.command!r}")
         else:
             cfg[opt.dest] = opt.default
-    del cfg["config"]
     cfg["command"] = args.command
     return cfg
-
-
-def _require(cfg: dict, *keys) -> None:
-    for key in keys:
-        if cfg.get(key) is None:
-            flag = "--" + key.replace("_", "-")
-            raise UsageError(f"{flag} is required for {cfg['command']!r}")
 
 
 def _derived_json_path(out) -> str:
@@ -190,7 +195,6 @@ def _progress(message: str) -> None:
 # commands
 
 def cmd_fit(cfg: dict) -> dict:
-    _require(cfg, "data", "out")
     dataset = load_csv(cfg["data"], target=cfg["target"])
     scaling = fit_scaling(dataset.features)
     knots = DesignMatrix(apply_scaling(dataset.features, scaling))
@@ -230,7 +234,6 @@ def _prediction_column_name(names) -> str:
 
 
 def cmd_predict(cfg: dict) -> dict:
-    _require(cfg, "model", "data", "out")
     model, metadata = load_model(cfg["model"])
     header, rows, dropped = read_table(cfg["data"])
 
@@ -282,7 +285,6 @@ def cmd_predict(cfg: dict) -> dict:
 def _run_study(cfg: dict, run, write_csv, write_json, fields) -> dict:
     """Run a study with the shared tuning options, write its CSV and its JSON
     twin (whose ``config`` block is the runner's own record), and summarize."""
-    _require(cfg, "out")
     out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
     report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
     write_csv(report, cfg["out"])
@@ -313,7 +315,6 @@ def cmd_convergence(cfg: dict) -> dict:
 
 
 def cmd_bench(cfg: dict) -> dict:
-    _require(cfg, "datasets")
     run = partial(
         run_benchmark, cfg["datasets"], repeats=cfg["repeats"],
         train_fraction=cfg["train_frac"], max_rows=cfg["max_rows"], progress=_progress,
@@ -331,53 +332,51 @@ def cmd_bench(cfg: dict) -> dict:
 #: declares, and fit's option order is the order of its model-metadata echo
 _COMMANDS = {
     "fit": (cmd_fit, "tune and fit a model on a CSV, save it as JSON", (
-        _CONFIG,
-        Option(("--kernel",), "kernel family", str, "har", FAMILIES),
-        Option(("--order",), "spline order t for the adaptive kernel", int, 0),
+        Option("--kernel", "kernel family", str, "har", FAMILIES),
+        Option("--order", "spline order t for the adaptive kernel", int, 0),
         *_TUNING,
-        Option(("--data",), "training CSV (header row required)"),
-        Option(("--target",), "target column name; default last column"),
-        Option(("--out",), "model output path"),
+        Option("--data", "training CSV (header row required)", required=True),
+        Option("--target", "target column name; default last column"),
+        Option("--out", "model output path", required=True),
     )),
     "predict": (cmd_predict, "apply a saved model to a feature CSV", (
-        _CONFIG, _THREADS,
-        Option(("--model",), "model JSON from fit"),
-        Option(("--data",), "feature CSV; model's feature columns selected by name"),
-        Option(("--out",), "predictions CSV path"),
+        _THREADS,
+        Option("--model", "model JSON from fit", required=True),
+        Option("--data", "feature CSV; model's feature columns selected by name", required=True),
+        Option("--out", "predictions CSV path", required=True),
     )),
     "simulate": (cmd_simulate, "1-D fit-shape study: all families on one seeded draw", (
         *_study_options("fit-curve CSV path", "config/selection JSON path"),
     )),
     "convergence": (cmd_convergence, "10-D convergence study against the benchmark decay curve", (
         *_study_options("report CSV path", "report JSON path"),
-        Option(("--repeats",), "replications per sample size", int, DEFAULT_REPLICATIONS),
-        Option(("--n-values",), "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True),
-        Option(("--test-size",), "test rows per replication", int, DEFAULT_TEST_SIZE),
+        Option("--repeats", "replications per sample size", int, DEFAULT_REPLICATIONS),
+        Option("--n-values", "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True),
+        Option("--test-size", "test rows per replication", int, DEFAULT_TEST_SIZE),
     )),
     "bench": (cmd_bench, "multi-dataset RMSE comparison over seeded splits", (
         *_study_options("report CSV path", "report JSON path"),
-        Option(("--datasets",), "comma-separated CSV paths", many=True),
-        Option(("--repeats",), "independent split/tune/test repeats", int, DEFAULT_REPEATS),
-        Option(("--train-frac",), "training fraction of each split", float, BENCH_TRAIN_FRACTION),
-        Option(("--max-rows",), "row cap applied before splitting", int, BENCH_MAX_ROWS),
+        Option("--datasets", "comma-separated CSV paths", many=True, required=True),
+        Option("--repeats", "independent split/tune/test repeats", int, DEFAULT_REPEATS),
+        Option("--train-frac", "training fraction of each split", float, BENCH_TRAIN_FRACTION),
+        Option("--max-rows", "row cap applied before splitting", int, BENCH_MAX_ROWS),
     )),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="har",
         description="Adaptive-kernel ridge regression: fit, predict, and seeded studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option defaults; flags win")
         for opt in options:
-            # a list option reaches _check as text, so a bad item is a UsageError
-            p.add_argument(
-                *opt.flags, dest=opt.dest, help=opt.help,
-                type=None if opt.many else opt.type, choices=opt.choices,
-            )
+            # every value reaches _check as text; the metavar shows the choices
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            p.add_argument(opt.flag, dest=opt.dest, help=opt.help, metavar=metavar)
     return parser
 
 
@@ -386,9 +385,9 @@ def _emit(doc: dict) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    run, _, options = _COMMANDS[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        run, _, options = _COMMANDS[args.command]
         summary = run(_resolve(args, options))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

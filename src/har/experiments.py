@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .data import (
 )
 from .exceptions import HarError, InvalidInputError, InvalidParameterError
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix
-from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, predict, tune
+from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, check_tuning, predict, tune
 
 DEMO_N = 50
 DEMO_NOISE_SD = 0.3
@@ -133,21 +133,18 @@ class DemoResult:
 def run_demo(
     seed: int,
     *,
-    n: int = DEMO_N,
-    grid_size: int = DEMO_GRID_SIZE,
     grid_count: int = DEFAULT_GRID_COUNT,
     epsilon: float = DEFAULT_EPSILON,
     threads: int | None = None,
 ) -> DemoResult:
-    """Tune all three kernel families on one 1-D draw and tabulate their
-    fits over `grid_size` evenly spaced points spanning [-1, 1]."""
-    if grid_size < 2:
-        raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size!r}")
-    x_train, y_train = simulate_demo_1d(n, seed)
+    """Tune all three kernel families on one draw of DEMO_N 1-D points and
+    tabulate their fits over DEMO_GRID_SIZE evenly spaced points spanning
+    [-1, 1]."""
+    x_train, y_train = simulate_demo_1d(DEMO_N, seed)
     scaling = fit_scaling(x_train[:, None])
     knots = DesignMatrix(apply_scaling(x_train[:, None], scaling))
 
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, DEMO_GRID_SIZE)
     grid_scaled = DesignMatrix(apply_scaling(grid[:, None], scaling))
 
     predictions = {}
@@ -167,8 +164,8 @@ def run_demo(
     config = {
         "operation": "demo",
         "seed": int(seed),
-        "n": int(n),
-        "grid_size": int(grid_size),
+        "n": DEMO_N,
+        "grid_size": DEMO_GRID_SIZE,
         "grid_count": int(grid_count),
         "epsilon": float(epsilon),
         "generator": GENERATOR_NAME,
@@ -228,6 +225,8 @@ def run_convergence(
     n_values = tuple(int(v) for v in n_values)
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameterError("n_values must be non-empty and strictly increasing")
+    if n_values[0] < 2:
+        raise InvalidParameterError(f"n_values must be >= 2 (the rate is 0 at n=1), got {n_values[0]}")
     if replications < 1:
         raise InvalidParameterError(f"replications must be >= 1, got {replications!r}")
     if test_size < 1:
@@ -297,8 +296,7 @@ def _bench_one_dataset(
     repeats: int,
     seed: int,
     *,
-    train_fraction: float,
-    max_rows,
+    split: SplitSpec,
     grid_count: int,
     epsilon: float,
     threads,
@@ -309,8 +307,7 @@ def _bench_one_dataset(
     n_used = p_used = None
     for r in range(repeats):
         split_seed = int(rng_from(seed, "bench", name, r, "split-seed").integers(0, 2**32))
-        spec = SplitSpec(train_fraction=train_fraction, seed=split_seed, max_rows=max_rows)
-        train, test = split_dataset(dataset, spec)
+        train, test = split_dataset(dataset, replace(split, seed=split_seed))
         n_used, p_used = train.n + test.n, train.p
         scaling = fit_scaling(train.features)
         knots = DesignMatrix(apply_scaling(train.features, scaling))
@@ -354,7 +351,8 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Tune every method on shared splits of each dataset, `repeats` times.
 
-    Within a repeat all methods see the same train/test rows.  A dataset
+    Within a repeat all methods see the same train/test rows.  The study's
+    own parameters are checked before any dataset is opened.  A dataset
     that fails to load or fit (a package error or an I/O error) is recorded
     under `failures` and the run continues; any other exception is a bug and
     propagates.  Target column is the last column of each file.
@@ -365,6 +363,8 @@ def run_benchmark(
     for m in methods:
         if m not in FAMILIES:
             raise InvalidParameterError(f"unknown method {m!r}; expected one of {FAMILIES}")
+    check_tuning(epsilon, grid_count)
+    split = SplitSpec(train_fraction=train_fraction, max_rows=max_rows)
     cells = []
     failures = []
     for path in dataset_paths:
@@ -373,8 +373,7 @@ def run_benchmark(
             dataset = load_csv(path)
             cells.extend(_bench_one_dataset(
                 name, dataset, methods, repeats, seed,
-                train_fraction=train_fraction, max_rows=max_rows,
-                grid_count=grid_count, epsilon=epsilon,
+                split=split, grid_count=grid_count, epsilon=epsilon,
                 threads=threads, progress=progress,
             ))
         except (HarError, OSError) as exc:

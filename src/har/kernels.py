@@ -57,7 +57,8 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,7 +170,6 @@ class DesignMatrix:
     """
 
     values: np.ndarray
-    _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64, copy=True)
@@ -193,15 +193,13 @@ class DesignMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Content hash (sha256 over shape and row-major float64 bytes)."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(f"{self.n}x{self.p}:".encode())
-            h.update(np.ascontiguousarray(self.values).tobytes())
-            object.__setattr__(self, "_fingerprint", h.hexdigest())
-        return self._fingerprint
+        h = hashlib.sha256()
+        h.update(f"{self.n}x{self.p}:".encode())
+        h.update(np.ascontiguousarray(self.values).tobytes())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

@@ -200,10 +200,17 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # regularization bound and grid
 
-def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
-    """||y|| / (epsilon max|y|), the outcome's share of lambda0."""
+def check_tuning(epsilon: float, grid_count: int = DEFAULT_GRID_COUNT) -> None:
+    """The parameter checks of `tune` (epsilon in (0, 1), an integer grid
+    count >= 1), for callers that check before they read any data."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    if not isinstance(grid_count, (int, np.integer)) or isinstance(grid_count, bool) or grid_count < 1:
+        raise InvalidParameterError(f"grid count must be an integer >= 1, got {grid_count!r}")
+
+
+def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
+    """||y|| / (epsilon max|y|), the outcome's share of lambda0."""
     y_max = float(np.max(np.abs(yv)))
     if y_max == 0.0:
         raise UndefinedScaleError("cannot scale the bound: y is identically zero")
@@ -228,6 +235,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     operator-norm bound ||alpha|| <= ||y|| / (eigmin + lambda)).  eigmin is
     computed exactly; `tune` reuses the one from its own eigendecomposition.
     """
+    check_tuning(epsilon)
     factor = _bound_factor(_check_y(y, gram.n), epsilon)
     eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
@@ -291,8 +299,7 @@ def tune(
     only lambda0 itself.
     """
     yv = _check_y(y, knots.n)
-    if not isinstance(grid_count, (int, np.integer)) or isinstance(grid_count, bool) or grid_count < 1:
-        raise InvalidParameterError(f"grid count must be an integer >= 1, got {grid_count!r}")
+    check_tuning(epsilon, grid_count)
     specs = _family_specs(family, order)
     factor = _bound_factor(yv, epsilon)
 

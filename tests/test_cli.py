@@ -237,9 +237,35 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
 
 
 def test_unknown_kernel_choice_rejected_by_parser(capsys):
+    code, summary, _ = run_cli(capsys, "fit", "--data", "x.csv", "--kernel", "cubic", "--out", "m.json")
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError" and "'cubic'" in summary["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, synopsis",
+    [
+        (["fit", "--grid", "x"], False),
+        (["fit", "--bogus", "1"], True),
+        (["fit", "--grid"], True),
+        ([], True),
+    ],
+    ids=["bad-value", "unknown-flag", "missing-value", "no-command"],
+)
+def test_malformed_command_line_is_one_usage_error_line(capsys, argv, synopsis):
+    code, summary, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError"
+    assert ("usage: har" in err) == synopsis  # argparse's synopsis when argv does not split
+    assert "Traceback" not in err
+
+
+def test_fit_help_lists_the_kernel_choices(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["fit", "--data", "x.csv", "--kernel", "cubic", "--out", "m.json"])
-    assert exc.value.code == EXIT_USAGE
+        main(["fit", "--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "--kernel {har,sobolev,rbf}" in out and "--config CONFIG" in out
 
 
 def test_config_file_layer_and_flag_precedence(train_csv, tmp_path, capsys):
@@ -277,9 +303,9 @@ def test_unknown_config_key_is_usage_error(train_csv, tmp_path, capsys):
     ids="-".join,
 )
 def test_option_a_command_does_not_read_is_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+    code, summary, _ = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError"
 
 
 def test_config_key_a_command_does_not_read_is_rejected(tmp_path, capsys):
@@ -288,6 +314,17 @@ def test_config_key_a_command_does_not_read_is_rejected(tmp_path, capsys):
     code, summary, _ = run_cli(capsys, "convergence", "--config", str(cfg))
     assert code == EXIT_USAGE
     assert summary["error"]["type"] == "UsageError" and "'kernel'" in summary["error"]["message"]
+
+
+def test_config_key_naming_another_config_file_is_rejected(train_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config": str(tmp_path / "other.json")}))
+    code, summary, _ = run_cli(
+        capsys, "fit", "--config", str(cfg), "--data", train_csv, "--out", str(tmp_path / "m.json"),
+    )
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError" and "'config'" in summary["error"]["message"]
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -388,6 +425,16 @@ def test_convergence_bad_n_values(capsys, tmp_path):
         capsys, "convergence", "--n-values", "20,x", "--out", str(tmp_path / "c.csv"),
     )
     assert code == EXIT_USAGE
+
+
+def test_convergence_at_n_one_is_a_runtime_error(capsys, tmp_path):
+    code, summary, err = run_cli(
+        capsys, "convergence", "--n-values", "1,5", "--repeats", "1", "--test-size", "10",
+        "--grid", "3", "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == EXIT_RUNTIME
+    assert summary["error"]["type"] == "InvalidParameterError"
+    assert "Traceback" not in err
 
 
 def test_bench_subcommand(tmp_path, capsys):

@@ -171,6 +171,12 @@ def test_convergence_validation():
         )
 
 
+def test_convergence_rejects_n_below_two():
+    # the benchmark curve is 0 at n=1, so its ratio would divide by zero
+    with pytest.raises(InvalidParameterError, match="n=1"):
+        run_convergence(1, n_values=(1, 5), replications=1, test_size=10, grid_count=3)
+
+
 def test_convergence_single_cell_well_formed():
     rep = run_convergence(2, n_values=(15,), replications=1, test_size=1, grid_count=3)
     assert len(rep.rows) == 1 and np.isfinite(rep.rows[0].mean_rmse)
@@ -252,3 +258,15 @@ def test_benchmark_validation(bench_files):
         run_benchmark(bench_files, 1, repeats=0)
     with pytest.raises(InvalidParameterError):
         run_benchmark(bench_files, 1, methods=("har", "mystery"))
+
+
+@pytest.mark.parametrize(
+    "param",
+    [{"train_fraction": 1.5}, {"max_rows": 1}, {"grid_count": 0}, {"epsilon": 2.0}],
+    ids=lambda param: next(iter(param)),
+)
+def test_benchmark_bad_study_parameter_raises_before_any_dataset(tmp_path, param):
+    # a bad study parameter is no failure of a dataset: it raises even when
+    # the only dataset is missing
+    with pytest.raises(InvalidParameterError):
+        run_benchmark([str(tmp_path / "absent.csv")], 1, repeats=1, **param)

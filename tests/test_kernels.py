@@ -71,6 +71,11 @@ def test_design_matrix_fingerprint_tracks_content():
     assert a.fingerprint != c.fingerprint
 
 
+def test_design_matrix_fingerprint_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        DesignMatrix(np.array([[0.1, 0.2]]), "forged")
+
+
 # ---------------------------------------------------------------------------
 # pointwise values
 
