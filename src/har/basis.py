@@ -26,17 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import (
     DimensionMismatchError,
-    InvalidInputError,
     InvalidParameterError,
     UnsupportedSizeError,
 )
-from .kernels import DesignMatrix, _as_point, _require_unit_cube
+from .kernels import DesignMatrix, KernelSpec, _as_vector, _require_unit_cube
 
 # Size guards: expansion refuses anything bigger, and the primal ridge fit
 # additionally caps the dimension (its normal equations are dense d x d).
@@ -56,7 +56,6 @@ class BasisExpansion:
     """The expansion H(x): values plus the (knot, state) identity of each entry."""
 
     values: np.ndarray
-    index: list
     n: int
     p: int
     order: int
@@ -65,10 +64,15 @@ class BasisExpansion:
     def dimension(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def index(self) -> list:
+        """(knot, state) of each value: knot-major, states in counter order."""
+        states = [tuple(int(d) for d in row) for row in _state_digits(self.p, self.order)]
+        return [(i, state) for i in range(self.n) for state in states]
+
 
 def _guard(n: int, p: int, order: int) -> None:
-    if order < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {order}")
+    KernelSpec.har(order)  # the order's range; the oracle's own size cap follows
     if n > MAX_N or p > MAX_P or order > MAX_T:
         raise UnsupportedSizeError(
             f"expansion limited to n <= {MAX_N}, p <= {MAX_P}, t <= {MAX_T}; "
@@ -95,7 +99,7 @@ def expand(x, knots: DesignMatrix, order: int = 0) -> BasisExpansion:
     within each knot.  Inputs live in the unit cube.
     """
     _guard(knots.n, knots.p, order)
-    xv = _as_point(x, knots.p, "x")
+    xv = _as_vector(x, knots.p, "x")
     _require_unit_cube(knots.values, "knots")
     _require_unit_cube(xv, "x")
 
@@ -117,12 +121,7 @@ def expand(x, knots: DesignMatrix, order: int = 0) -> BasisExpansion:
         per_knot *= factors[:, :, j][:, digits[:, j]]
 
     values = per_knot.reshape(-1)
-    index = [
-        (i, tuple(int(d) for d in digits[s]))
-        for i in range(n)
-        for s in range(digits.shape[0])
-    ]
-    return BasisExpansion(values=values, index=index, n=n, p=p, order=t)
+    return BasisExpansion(values=values, n=n, p=p, order=t)
 
 
 def expansion_matrix(points: DesignMatrix, knots: DesignMatrix, order: int = 0) -> np.ndarray:
@@ -145,13 +144,7 @@ def explicit_ridge_fit(knots: DesignMatrix, y, order: int, lam: float) -> np.nda
     rank deficient since d > n always).
     """
     _guard(knots.n, knots.p, order)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if yv.shape[0] != knots.n:
-        raise DimensionMismatchError(
-            f"y has length {yv.shape[0]}, expected {knots.n}"
-        )
-    if not np.all(np.isfinite(yv)):
-        raise InvalidInputError("y contains NaN or infinite entries")
+    yv = _as_vector(y, knots.n, "y")
     if not (lam > 0.0) or not math.isfinite(lam):
         raise InvalidParameterError(
             f"explicit ridge requires lam > 0 (rank-deficient at 0), got {lam!r}"

@@ -1,13 +1,14 @@
 """Command-line front end: fit, predict, and the three study runners.
 
 Each option is declared once (`Option`): its flag, value type, choices,
-default, whether it is required, and help.  argparse only splits argv;
-`_resolve` takes each value from four layers, highest priority first:
-command-line flags, the optional ``--config file.json`` document, the
-``HAR_THREADS`` environment variable (threads only), and the declared
-default.  It checks a value the same way whichever layer it came from, so
-a bad value, a missing required option or an unsplittable command line is
-a usage error.  Every run but ``--help`` prints exactly one JSON line to
+default, whether it is required, the library check that owns its range,
+and help.  argparse only splits argv; `_resolve` takes each value from four
+layers, highest priority first: command-line flags, the optional
+``--config file.json`` document, the ``HAR_THREADS`` environment variable
+(threads only), and the declared default.  It checks a value the same way
+whichever layer it came from, before any command opens a file, so a bad
+value, a missing required option or an unsplittable command line is a
+usage error.  Every run but ``--help`` prints exactly one JSON line to
 standard output (the machine-readable summary, or ``{"error": ...}``);
 progress, warnings and usage text go to standard error.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  Run it as ``har`` or as
@@ -28,11 +29,12 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .data import apply_scaling, fit_scaling, load_csv, read_table, rmse, write_table
-from .exceptions import HarError, SchemaError
+from .data import SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_table
+from .exceptions import HarError, InvalidParameterError, SchemaError
 from .experiments import (
     BENCH_MAX_ROWS,
     BENCH_TRAIN_FRACTION,
@@ -40,6 +42,7 @@ from .experiments import (
     DEFAULT_REPEATS,
     DEFAULT_REPLICATIONS,
     DEFAULT_TEST_SIZE,
+    check_study,
     run_benchmark,
     run_convergence,
     run_demo,
@@ -50,10 +53,11 @@ from .experiments import (
     write_demo_csv,
     write_demo_json,
 )
-from .kernels import FAMILIES, DesignMatrix
+from .kernels import FAMILIES, DesignMatrix, KernelSpec, _resolve_workers
 from .solver import (
     DEFAULT_EPSILON,
     DEFAULT_GRID_COUNT,
+    check_tuning,
     load_model,
     predict,
     save_model,
@@ -84,7 +88,9 @@ class Option:
     """One option of a command.  ``type`` parses flag and environment text
     and is the type a config-file value must have (an int is a valid float);
     with ``many`` the value is a list of ``type`` items, comma-separated on
-    the command line.  A ``required`` option set in no layer is an error."""
+    the command line.  A ``required`` option set in no layer is an error.
+    ``check`` is the library function that owns the value's range: called
+    with the typed value as keyword ``dest``, it raises InvalidParameterError."""
 
     flag: str
     help: str
@@ -93,16 +99,21 @@ class Option:
     choices: tuple | None = None
     many: bool = False
     required: bool = False
+    check: Callable | None = None
 
     @property
     def dest(self) -> str:
         return self.flag[2:].replace("-", "_")
 
 
-_THREADS = Option("--threads", "worker cap for kernel matrices and prediction; 0 = auto", int)
+_THREADS = Option(
+    "--threads", "worker cap for kernel matrices and prediction; 0 = auto", int, check=_resolve_workers
+)
 _TUNING = (
-    Option("--epsilon", "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON),
-    Option("--grid", "lambda grid size", int, DEFAULT_GRID_COUNT),
+    Option("--epsilon", "prediction-suppression level for the lambda bound", float, DEFAULT_EPSILON,
+           check=check_tuning),
+    Option("--grid", "lambda grid size", int, DEFAULT_GRID_COUNT,
+           check=lambda grid: check_tuning(grid_count=grid)),
     _THREADS,
 )
 
@@ -110,7 +121,7 @@ _TUNING = (
 def _study_options(csv_help: str, json_help: str) -> tuple:
     return (
         *_TUNING,
-        Option("--seed", "master seed", int, 0),
+        Option("--seed", "master seed", int, 0, check=rng_from),
         Option("--out", csv_help, required=True),
         Option("--out-json", f"{json_help}; default derived from --out"),
     )
@@ -118,7 +129,7 @@ def _study_options(csv_help: str, json_help: str) -> tuple:
 
 def _check(opt: Option, value, where: str):
     """The value of `opt` from flag or environment text or a config-file
-    JSON value; a value off its type or choices is a UsageError."""
+    JSON value; a value off its type, choices or owner's range is a UsageError."""
 
     def one(item):
         accepted = (int, float) if opt.type is float else opt.type
@@ -130,17 +141,24 @@ def _check(opt: Option, value, where: str):
         return item
 
     try:
-        if not opt.many:
-            return one(value)
-        items = value.split(",") if isinstance(value, str) else value
-        if not isinstance(items, list):
-            raise TypeError(value)
-        return [one(item) for item in items if item != ""]
+        if opt.many:
+            items = value.split(",") if isinstance(value, str) else value
+            if not isinstance(items, list):
+                raise TypeError(value)
+            typed = [one(item) for item in items if item != ""]
+        else:
+            typed = one(value)
     except (TypeError, ValueError):
         kind = f"one of {list(opt.choices)}" if opt.choices else f"of type {opt.type.__name__}"
         if opt.many:
             kind = f"a comma-separated list, each item {kind}"
         raise UsageError(f"{where} must be {kind}, got {value!r}") from None
+    if opt.check is not None:
+        try:
+            opt.check(**{opt.dest: typed})
+        except InvalidParameterError as exc:
+            raise UsageError(f"{where}: {exc}") from None
+    return typed
 
 
 def _load_config_file(path) -> dict:
@@ -333,7 +351,7 @@ def cmd_bench(cfg: dict) -> dict:
 _COMMANDS = {
     "fit": (cmd_fit, "tune and fit a model on a CSV, save it as JSON", (
         Option("--kernel", "kernel family", str, "har", FAMILIES),
-        Option("--order", "spline order t for the adaptive kernel", int, 0),
+        Option("--order", "spline order t for the adaptive kernel", int, 0, check=KernelSpec.har),
         *_TUNING,
         Option("--data", "training CSV (header row required)", required=True),
         Option("--target", "target column name; default last column"),
@@ -350,16 +368,18 @@ _COMMANDS = {
     )),
     "convergence": (cmd_convergence, "10-D convergence study against the benchmark decay curve", (
         *_study_options("report CSV path", "report JSON path"),
-        Option("--repeats", "replications per sample size", int, DEFAULT_REPLICATIONS),
-        Option("--n-values", "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True),
-        Option("--test-size", "test rows per replication", int, DEFAULT_TEST_SIZE),
+        Option("--repeats", "replications per sample size", int, DEFAULT_REPLICATIONS, check=check_study),
+        Option("--n-values", "comma-separated ascending sample sizes", int, DEFAULT_N_VALUES, many=True,
+               check=check_study),
+        Option("--test-size", "test rows per replication", int, DEFAULT_TEST_SIZE, check=check_study),
     )),
     "bench": (cmd_bench, "multi-dataset RMSE comparison over seeded splits", (
         *_study_options("report CSV path", "report JSON path"),
         Option("--datasets", "comma-separated CSV paths", many=True, required=True),
-        Option("--repeats", "independent split/tune/test repeats", int, DEFAULT_REPEATS),
-        Option("--train-frac", "training fraction of each split", float, BENCH_TRAIN_FRACTION),
-        Option("--max-rows", "row cap applied before splitting", int, BENCH_MAX_ROWS),
+        Option("--repeats", "independent split/tune/test repeats", int, DEFAULT_REPEATS, check=check_study),
+        Option("--train-frac", "training fraction of each split", float, BENCH_TRAIN_FRACTION,
+               check=lambda train_frac: SplitSpec(train_fraction=train_frac)),
+        Option("--max-rows", "row cap applied before splitting", int, BENCH_MAX_ROWS, check=SplitSpec),
     )),
 }
 

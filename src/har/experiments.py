@@ -36,7 +36,6 @@ import numpy as np
 from .data import (
     GENERATOR_NAME,
     Dataset,
-    ScalingParams,
     SplitSpec,
     apply_scaling,
     fit_scaling,
@@ -48,7 +47,7 @@ from .data import (
     write_table,
 )
 from .exceptions import HarError, InvalidInputError, InvalidParameterError
-from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix
+from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix, _resolve_workers
 from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, check_tuning, predict, tune
 
 DEMO_N = 50
@@ -204,6 +203,20 @@ class ConvergenceReport:
                     raise InvalidInputError(f"non-finite report value at n={row.n}")
 
 
+def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int = 1) -> None:
+    """The one owner of the study size rules (strictly increasing sample
+    sizes from 2 up, at least one repeat and one test row), for the runners
+    and callers that check before they draw or read any data."""
+    if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise InvalidParameterError("n_values must be non-empty and strictly increasing")
+    if n_values[0] < 2:
+        raise InvalidParameterError(f"n_values must be >= 2 (the rate is 0 at n=1), got {n_values[0]}")
+    if repeats < 1:
+        raise InvalidParameterError(f"repeats must be >= 1, got {repeats!r}")
+    if test_size < 1:
+        raise InvalidParameterError(f"test_size must be >= 1, got {test_size!r}")
+
+
 def run_convergence(
     seed: int,
     *,
@@ -223,14 +236,7 @@ def run_convergence(
     `progress`, if given, is called with a short string after each cell.
     """
     n_values = tuple(int(v) for v in n_values)
-    if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise InvalidParameterError("n_values must be non-empty and strictly increasing")
-    if n_values[0] < 2:
-        raise InvalidParameterError(f"n_values must be >= 2 (the rate is 0 at n=1), got {n_values[0]}")
-    if replications < 1:
-        raise InvalidParameterError(f"replications must be >= 1, got {replications!r}")
-    if test_size < 1:
-        raise InvalidParameterError(f"test_size must be >= 1, got {test_size!r}")
+    check_study(n_values=n_values, repeats=replications, test_size=test_size)
 
     errors = np.zeros((len(n_values), replications))
     for r in range(replications):
@@ -357,8 +363,9 @@ def run_benchmark(
     under `failures` and the run continues; any other exception is a bug and
     propagates.  Target column is the last column of each file.
     """
-    if repeats < 1:
-        raise InvalidParameterError(f"repeats must be >= 1, got {repeats!r}")
+    check_study(repeats=repeats)
+    rng_from(seed)
+    _resolve_workers(threads)
     methods = tuple(methods)
     for m in methods:
         if m not in FAMILIES:

@@ -222,11 +222,12 @@ class GramMatrix:
 # ---------------------------------------------------------------------------
 # input checks
 
-def _as_point(x, p: int, name: str) -> np.ndarray:
+def _as_vector(x, length: int, name: str) -> np.ndarray:
+    """`x` as a finite float64 vector of `length` entries: a point, y or alpha."""
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != p:
+    if arr.shape[0] != length:
         raise DimensionMismatchError(
-            f"{name} has length {arr.shape[0]}, expected {p} to match the knots"
+            f"{name} has length {arr.shape[0]}, expected {length} to match the knots"
         )
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains NaN or infinite entries")
@@ -255,8 +256,8 @@ def har_kernel(x, x_prime, knots: DesignMatrix, order: int = 0) -> float:
     orders use the per-knot product form.  Inputs must lie in [0, 1]^p.
     """
     spec = KernelSpec.har(order)  # validates the order
-    xv = _as_point(x, knots.p, "x")
-    xq = _as_point(x_prime, knots.p, "x_prime")
+    xv = _as_vector(x, knots.p, "x")
+    xq = _as_vector(x_prime, knots.p, "x_prime")
     _require_unit_cube(knots.values, "knots")
     _require_unit_cube(xv, "x")
     _require_unit_cube(xq, "x_prime")
@@ -275,8 +276,8 @@ def har_kernel_product_form(x, x_prime, knots: DesignMatrix, order: int = 0) -> 
     they can check each other.
     """
     KernelSpec.har(order)
-    xv = _as_point(x, knots.p, "x")
-    xq = _as_point(x_prime, knots.p, "x_prime")
+    xv = _as_vector(x, knots.p, "x")
+    xq = _as_vector(x_prime, knots.p, "x_prime")
     _require_unit_cube(knots.values, "knots")
     _require_unit_cube(xv, "x")
     _require_unit_cube(xq, "x_prime")
@@ -309,7 +310,7 @@ def _product_form_value(x: np.ndarray, xp: np.ndarray, knots: np.ndarray, t: int
 def mixed_sobolev_kernel(x, x_prime) -> float:
     """Product Sobolev kernel on [0,1]^p: prod_j cosh(lo) cosh(1-hi) / sinh(1)."""
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    xq = _as_point(x_prime, xv.shape[0], "x_prime")
+    xq = _as_vector(x_prime, xv.shape[0], "x_prime")
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x contains NaN or infinite entries")
     _require_unit_cube(xv, "x")
@@ -326,7 +327,7 @@ def rbf_kernel(x, x_prime, bandwidth: float) -> float:
     """Gaussian kernel exp(-||x-x'||^2 / (2 bw^2)); exactly 1 at x == x'."""
     spec = KernelSpec.rbf(bandwidth)
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    xq = _as_point(x_prime, xv.shape[0], "x_prime")
+    xq = _as_vector(x_prime, xv.shape[0], "x_prime")
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x contains NaN or infinite entries")
     d2 = 0.0
@@ -341,11 +342,11 @@ def kernel_value(x, x_prime, knots: DesignMatrix, spec: KernelSpec) -> float:
     if spec.family == FAMILY_HAR:
         return har_kernel(x, x_prime, knots, spec.order)
     if spec.family == FAMILY_SOBOLEV:
-        xv = _as_point(x, knots.p, "x")
-        xq = _as_point(x_prime, knots.p, "x_prime")
+        xv = _as_vector(x, knots.p, "x")
+        xq = _as_vector(x_prime, knots.p, "x_prime")
         return mixed_sobolev_kernel(xv, xq)
-    xv = _as_point(x, knots.p, "x")
-    xq = _as_point(x_prime, knots.p, "x_prime")
+    xv = _as_vector(x, knots.p, "x")
+    xq = _as_vector(x_prime, knots.p, "x_prime")
     return rbf_kernel(xv, xq, spec.bandwidth)
 
 

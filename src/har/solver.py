@@ -46,13 +46,11 @@ from .exceptions import (
     UndefinedScaleError,
 )
 from .kernels import (
-    FAMILIES,
-    FAMILY_HAR,
     FAMILY_RBF,
-    FAMILY_SOBOLEV,
     DesignMatrix,
     GramMatrix,
     KernelSpec,
+    _as_vector,
     _cross_row_blocks,
     gram_matrix,
 )
@@ -64,15 +62,6 @@ DEFAULT_GRID_COUNT = 50
 #: Span of the lambda grid below lambda0, and the rbf bandwidth ladder.
 GRID_SPAN = 1e-8
 RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
-
-
-def _check_y(y, n: int) -> np.ndarray:
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if yv.shape[0] != n:
-        raise DimensionMismatchError(f"y has length {yv.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(yv)):
-        raise InvalidInputError("y contains NaN or infinite entries")
-    return yv
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +76,7 @@ class FittedModel:
     scaling: ScalingParams
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=np.float64, copy=True).reshape(-1)
-        if alpha.shape[0] != self.knots.n:
-            raise DimensionMismatchError(
-                f"alpha has length {alpha.shape[0]}, expected {self.knots.n}"
-            )
-        if not np.all(np.isfinite(alpha)):
-            raise InvalidInputError("alpha contains NaN or infinite entries")
+        alpha = _as_vector(self.alpha, self.knots.n, "alpha").copy()
         if self.scaling.p != self.knots.p:
             raise DimensionMismatchError(
                 f"scaling has p={self.scaling.p} but knots have p={self.knots.p}"
@@ -123,7 +106,7 @@ def fit(
     the prediction pipeline; omitted means the knots are already native
     unit-cube coordinates (identity scaling).
     """
-    yv = _check_y(y, knots.n)
+    yv = _as_vector(y, knots.n, "y")
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise InvalidParameterError(f"lambda must be finite and >= 0, got {lam!r}")
     if gram is None:
@@ -190,7 +173,7 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
     Kernel knots stay fixed: e_i equals the residual at row i of a model
     refit on the other n-1 rows of the SAME Gram matrix.  Requires lam > 0.
     """
-    yv = _check_y(y, gram.n)
+    yv = _as_vector(y, gram.n, "y")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise InvalidParameterError(f"loocv requires lambda > 0, got {lam!r}")
     w, V = eigh(gram.values, driver="evd")
@@ -200,9 +183,10 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # regularization bound and grid
 
-def check_tuning(epsilon: float, grid_count: int = DEFAULT_GRID_COUNT) -> None:
-    """The parameter checks of `tune` (epsilon in (0, 1), an integer grid
-    count >= 1), for callers that check before they read any data."""
+def check_tuning(epsilon: float = DEFAULT_EPSILON, grid_count: int = DEFAULT_GRID_COUNT) -> None:
+    """The one owner of the tuning parameter rules (epsilon in (0, 1), an
+    integer grid count >= 1), for `tune`, `lambda_grid` and callers that
+    check before they read any data."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
     if not isinstance(grid_count, (int, np.integer)) or isinstance(grid_count, bool) or grid_count < 1:
@@ -236,19 +220,20 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     computed exactly; `tune` reuses the one from its own eigendecomposition.
     """
     check_tuning(epsilon)
-    factor = _bound_factor(_check_y(y, gram.n), epsilon)
+    factor = _bound_factor(_as_vector(y, gram.n, "y"), epsilon)
     eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
 
 def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
     """Geometric grid of `count` values from lambda0 * 1e-8 up to lambda0,
-    ascending, endpoint exact."""
+    ascending, endpoint exact; a count of 1 is lambda0 alone."""
     if not (lambda0 > 0.0 and math.isfinite(lambda0)):
         raise InvalidParameterError(f"lambda0 must be finite and > 0, got {lambda0!r}")
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 2:
-        raise InvalidParameterError(f"grid count must be an integer >= 2, got {count!r}")
-    return lambda0 * np.geomspace(GRID_SPAN, 1.0, int(count))
+    check_tuning(grid_count=count)
+    spans = np.geomspace(GRID_SPAN, 1.0, int(count))
+    spans[-1] = 1.0  # already so for count >= 2; at count 1 the grid is lambda0 alone
+    return lambda0 * spans
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +254,9 @@ class TuningResult:
 
 
 def _family_specs(family: str, order: int) -> list:
-    if family == FAMILY_HAR:
-        return [KernelSpec.har(order)]
-    if family == FAMILY_SOBOLEV:
-        return [KernelSpec.sobolev()]
     if family == FAMILY_RBF:
         return [KernelSpec.rbf(bw) for bw in RBF_BANDWIDTHS]
-    raise InvalidParameterError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
+    return [KernelSpec(family, order)]
 
 
 def tune(
@@ -295,10 +276,10 @@ def tune(
     recomputing lambda0 per bandwidth.  Scores are mean squared leave-one-out
     residuals; ties break toward the larger lambda.  Returns the scored grid
     and the model at the winner, whose alpha comes from the same
-    eigendecomposition that scored it.  A degenerate grid_count of 1 scores
-    only lambda0 itself.
+    eigendecomposition that scored it.  A grid_count of 1 scores only
+    lambda0 itself (see `lambda_grid`).
     """
-    yv = _check_y(y, knots.n)
+    yv = _as_vector(y, knots.n, "y")
     check_tuning(epsilon, grid_count)
     specs = _family_specs(family, order)
     factor = _bound_factor(yv, epsilon)
@@ -317,10 +298,7 @@ def tune(
         K.setflags(write=True)
         w, V = eigh(K.T, driver="evd", overwrite_a=True, check_finite=False)
         lam0 = _lambda0(row_norm, factor, float(w[0]))
-        if grid_count == 1:
-            grid = np.array([lam0])
-        else:
-            grid = lambda_grid(lam0, int(grid_count))
+        grid = lambda_grid(lam0, grid_count)
         alphas, errors = _loo_grid(w, V, yv, grid)
         for j, lam in enumerate(grid):
             score = float(np.mean(errors[:, j] ** 2))

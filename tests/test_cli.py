@@ -349,6 +349,57 @@ def test_config_value_checked_like_its_flag(train_csv, tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+# (command, flags, where the value came from): each value breaks the rule of
+# the library function that owns it
+_OFF_RULE = [
+    ("fit", ["--grid", "0"], "--grid"),
+    ("fit", ["--epsilon", "2"], "--epsilon"),
+    ("fit", ["--order", "13"], "--order"),
+    ("fit", ["--order", "-1"], "--order"),
+    ("fit", ["--kernel", "rbf", "--order", "13"], "--order"),
+    ("fit", ["--threads", "-1"], "--threads"),
+    ("fit", ["--config", "grid0.json"], "config key 'grid'"),
+    ("predict", ["--threads", "-3"], "--threads"),
+    ("simulate", ["--seed", "-1"], "--seed"),
+    ("convergence", ["--repeats", "0"], "--repeats"),
+    ("convergence", ["--n-values", "5,3"], "--n-values"),
+    ("convergence", ["--n-values", "1,5"], "--n-values"),
+    ("convergence", ["--test-size", "0"], "--test-size"),
+    ("bench", ["--threads", "-1"], "--threads"),
+    ("bench", [], "HAR_THREADS"),
+    ("bench", ["--seed", "-2"], "--seed"),
+    ("bench", ["--repeats", "0"], "--repeats"),
+    ("bench", ["--train-frac", "1.5"], "--train-frac"),
+    ("bench", ["--max-rows", "1"], "--max-rows"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, where", _OFF_RULE,
+    ids=[" ".join([command, *extra]) if extra else f"{where}=-1 {command}"
+         for command, extra, where in _OFF_RULE],
+)
+def test_value_off_its_owners_rule_is_a_usage_error_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, command, extra, where
+):
+    # every input file is missing, so only a check made before any file is
+    # opened can turn this into a usage error
+    monkeypatch.chdir(tmp_path)
+    Path("grid0.json").write_text(json.dumps({"grid": 0}))
+    if where == "HAR_THREADS":
+        monkeypatch.setenv("HAR_THREADS", "-1")
+    inputs = {
+        "fit": ["--data", "missing.csv"],
+        "predict": ["--model", "missing.json", "--data", "missing.csv"],
+        "bench": ["--datasets", "missing.csv"],
+    }.get(command, [])
+    code, summary, err = run_cli(capsys, command, *inputs, *extra, "--out", "out.csv")
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError"
+    assert summary["error"]["message"].startswith(f"{where}: "), summary
+    assert not Path("out.csv").exists() and "Traceback" not in err
+
+
 def test_threads_env_fallback(train_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HAR_THREADS", "not-a-number")
     code, summary, _ = run_cli(
@@ -427,13 +478,13 @@ def test_convergence_bad_n_values(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_convergence_at_n_one_is_a_runtime_error(capsys, tmp_path):
+def test_convergence_at_n_one_is_a_usage_error(capsys, tmp_path):
     code, summary, err = run_cli(
         capsys, "convergence", "--n-values", "1,5", "--repeats", "1", "--test-size", "10",
         "--grid", "3", "--out", str(tmp_path / "c.csv"),
     )
-    assert code == EXIT_RUNTIME
-    assert summary["error"]["type"] == "InvalidParameterError"
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError"
     assert "Traceback" not in err
 
 

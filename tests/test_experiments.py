@@ -262,11 +262,14 @@ def test_benchmark_validation(bench_files):
 
 @pytest.mark.parametrize(
     "param",
-    [{"train_fraction": 1.5}, {"max_rows": 1}, {"grid_count": 0}, {"epsilon": 2.0}],
+    [
+        {"train_fraction": 1.5}, {"max_rows": 1}, {"grid_count": 0}, {"epsilon": 2.0},
+        {"threads": -1}, {"seed": -1},
+    ],
     ids=lambda param: next(iter(param)),
 )
 def test_benchmark_bad_study_parameter_raises_before_any_dataset(tmp_path, param):
     # a bad study parameter is no failure of a dataset: it raises even when
     # the only dataset is missing
     with pytest.raises(InvalidParameterError):
-        run_benchmark([str(tmp_path / "absent.csv")], 1, repeats=1, **param)
+        run_benchmark([str(tmp_path / "absent.csv")], **{"seed": 1, "repeats": 1, **param})

@@ -368,8 +368,9 @@ def test_grid_shape_and_endpoints():
     assert g.shape == (50,) and g[-1] == 3.7
     ratios = g[1:] / g[:-1]
     assert np.allclose(ratios, 10 ** (8 / 49), rtol=1e-10)
+    assert lambda_grid(1.0, 1).tolist() == [1.0]
     with pytest.raises(InvalidParameterError):
-        lambda_grid(1.0, 1)
+        lambda_grid(1.0, 0)
     with pytest.raises(InvalidParameterError):
         lambda_grid(0.0, 10)
 
