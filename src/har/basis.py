@@ -29,17 +29,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .exceptions import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    UnsupportedSizeError,
-)
+from .exceptions import DimensionMismatchError, UnsupportedSizeError, _check_real
 from .kernels import DesignMatrix, KernelSpec, _as_vector, _require_unit_cube
 
 # Size guards: expansion refuses anything bigger, and the primal ridge fit
-# additionally caps the dimension (its normal equations are dense d x d).
+# additionally caps the dimension d of its (n, d) design.
 MAX_N = 16
 MAX_P = 6
 MAX_T = 2
@@ -137,28 +132,24 @@ def expansion_matrix(points: DesignMatrix, knots: DesignMatrix, order: int = 0) 
 def explicit_ridge_fit(knots: DesignMatrix, y, order: int, lam: float) -> np.ndarray:
     """Primal ridge coefficients from the explicit expansion.
 
-    Solves (H^T H + lam I_d) beta = H^T y with a dense symmetric
-    factorization, where H stacks the expansions of the knot rows.  This is
-    the independent check of the dual kernel solver; it never touches the
-    Gram matrix route.  lam must be > 0 (at lam = 0 the normal equations are
-    rank deficient since d > n always).
+    The minimizer of ||y - H beta||^2 + lam ||beta||^2, where H stacks the
+    expansions of the knot rows, from a thin SVD H = U diag(s) V^T:
+    beta = V diag(s / (s^2 + lam)) U^T y.  H has n <= MAX_N rows, so no
+    d x d matrix is formed.  This is the independent check of the dual
+    kernel solver; it never touches the Gram matrix route.  lam must be > 0
+    (at lam = 0 the problem is rank deficient since d > n always).
     """
     _guard(knots.n, knots.p, order)
     yv = _as_vector(y, knots.n, "y")
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise InvalidParameterError(
-            f"explicit ridge requires lam > 0 (rank-deficient at 0), got {lam!r}"
-        )
+    lam = _check_real("lam", lam, 0.0, ends="()", why="rank-deficient at 0")
     d = basis_dimension(knots.n, knots.p, order)
     if d > MAX_RIDGE_DIM:
         raise UnsupportedSizeError(
             f"explicit ridge limited to d <= {MAX_RIDGE_DIM}, got d={d}"
         )
     H = expansion_matrix(knots, knots, order)
-    G = H.T @ H
-    G[np.diag_indices_from(G)] += lam
-    factor = cho_factor(G, lower=True)
-    return cho_solve(factor, H.T @ yv)
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    return Vt.T @ (s / (s * s + lam) * (U.T @ yv))
 
 
 def explicit_predict(beta: np.ndarray, points: DesignMatrix, knots: DesignMatrix, order: int = 0) -> np.ndarray:

@@ -22,6 +22,8 @@ from .exceptions import (
     InvalidParameterError,
     NonNumericColumnError,
     SchemaError,
+    _check_int,
+    _check_real,
 )
 
 #: Identity of the base generator, echoed into run artifacts.
@@ -36,10 +38,7 @@ def rng_from(seed: int, *key) -> np.random.Generator:
     (seed, key) always gives the same stream; distinct keys give streams that
     are independent by SeedSequence construction.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    seed = _check_int("seed", seed, 0)
     parts = []
     for part in key:
         if isinstance(part, str):
@@ -51,7 +50,7 @@ def rng_from(seed: int, *key) -> np.random.Generator:
             raise InvalidParameterError(
                 f"rng key parts must be ints or strings, got {part!r}"
             )
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(parts))
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(parts))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -286,12 +285,9 @@ class SplitSpec:
     max_rows: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidParameterError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-        if self.max_rows is not None and self.max_rows < 2:
-            raise InvalidParameterError(f"max_rows must be >= 2, got {self.max_rows}")
+        _check_real("train_fraction", self.train_fraction, 0.0, 1.0, "()")
+        if self.max_rows is not None:
+            _check_int("max_rows", self.max_rows, 2)
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

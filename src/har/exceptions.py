@@ -1,9 +1,15 @@
-"""Error types raised across the package.
+"""Error types raised across the package, and the two owners of numeric
+parameter ranges.
 
 Everything derives from HarError so callers can catch the whole family; the
 concrete classes also subclass the builtin they most resemble (ValueError or
-RuntimeError) so generic handling keeps working.
+RuntimeError) so generic handling keeps working.  A numeric parameter off
+its type or range is an InvalidParameterError from `_check_int` or
+`_check_real`, never a bare TypeError.
 """
+
+import math
+import numbers
 
 
 class HarError(Exception):
@@ -22,6 +28,30 @@ class InvalidInputError(HarError, ValueError):
 class InvalidParameterError(HarError, ValueError):
     """A parameter is outside its legal range (bandwidth <= 0, negative
     regularization, unknown kernel family, order too large, ...)."""
+
+
+def _check_int(name: str, value, low: int, high: float = math.inf, why: str = "") -> int:
+    """The one owner of integer ranges: ``int(value)`` if `value` is an
+    integer (Python or numpy, not a bool) in [low, high], else an
+    InvalidParameterError naming `name` and saying `why` the bound holds."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
+    bound = (f">= {low}" if high == math.inf else f"in [{low}, {high}]") + (f" ({why})" if why else "")
+    raise InvalidParameterError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_real(name: str, value, low: float, high: float = math.inf, ends: str = "[)", why: str = "") -> float:
+    """The one owner of real ranges: ``float(value)`` if `value` is a finite
+    real number (not a bool) between `low` and `high`, each end open ``(``
+    ``)`` or closed ``[`` ``]`` as `ends` says, else an InvalidParameterError
+    naming `name` and saying `why` the bound holds."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        above = low < value if ends[0] == "(" else low <= value
+        below = value < high if ends[1] == ")" else value <= high
+        if above and below:
+            return float(value)
+    interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}" + (f" ({why})" if why else "")
+    raise InvalidParameterError(f"{name} must be a finite real number in {interval}, got {value!r}")
 
 
 class UnsupportedSizeError(HarError, ValueError):

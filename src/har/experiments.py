@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .data import (
     write_json,
     write_table,
 )
-from .exceptions import HarError, InvalidInputError, InvalidParameterError
+from .exceptions import HarError, InvalidInputError, InvalidParameterError, _check_int
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix, _resolve_workers
 from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, check_tuning, predict, tune
 
@@ -68,6 +69,9 @@ DEFAULT_REPEATS = 5
 BENCH_TRAIN_FRACTION = 0.8
 BENCH_MAX_ROWS = 2000
 
+#: the sample size of a public draw
+_check_draw_size = partial(_check_int, "n", low=1)
+
 
 # ---------------------------------------------------------------------------
 # data-generating processes
@@ -80,8 +84,7 @@ def demo_mean(x: np.ndarray) -> np.ndarray:
 
 def simulate_demo_1d(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n draws of X ~ Unif[-1, 1], Y = mean(X) + N(0, 0.3^2)."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
+    n = _check_draw_size(n)
     rng = rng_from(seed, "demo")
     x = rng.uniform(-1.0, 1.0, size=n)
     y = demo_mean(x) + DEMO_NOISE_SD * rng.standard_normal(n)
@@ -105,8 +108,7 @@ def _draw_interaction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.
 
 def simulate_interaction_10d(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n draws of X ~ Unif[0,1]^10, Y = mean(X) + N(0, 0.1^2)."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
+    n = _check_draw_size(n)
     return _draw_interaction(rng_from(seed, "interaction"), n)
 
 
@@ -207,14 +209,12 @@ def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int =
     """The one owner of the study size rules (strictly increasing sample
     sizes from 2 up, at least one repeat and one test row), for the runners
     and callers that check before they draw or read any data."""
+    for n in n_values:
+        _check_int("each n_values item", n, 2, why="the rate is 0 at n=1")
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameterError("n_values must be non-empty and strictly increasing")
-    if n_values[0] < 2:
-        raise InvalidParameterError(f"n_values must be >= 2 (the rate is 0 at n=1), got {n_values[0]}")
-    if repeats < 1:
-        raise InvalidParameterError(f"repeats must be >= 1, got {repeats!r}")
-    if test_size < 1:
-        raise InvalidParameterError(f"test_size must be >= 1, got {test_size!r}")
+    _check_int("repeats", repeats, 1)
+    _check_int("test_size", test_size, 1)
 
 
 def run_convergence(
@@ -235,8 +235,9 @@ def run_convergence(
     alone.  Training features are drawn on the unit cube and used unscaled.
     `progress`, if given, is called with a short string after each cell.
     """
-    n_values = tuple(int(v) for v in n_values)
+    n_values = tuple(n_values)
     check_study(n_values=n_values, repeats=replications, test_size=test_size)
+    n_values = tuple(int(v) for v in n_values)
 
     errors = np.zeros((len(n_values), replications))
     for r in range(replications):

@@ -66,6 +66,8 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidParameterError,
+    _check_int,
+    _check_real,
 )
 
 FAMILY_HAR = "har"
@@ -111,30 +113,16 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
         if self.family == FAMILY_HAR:
-            order = self.order
-            if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-                raise InvalidParameterError(f"order must be an integer, got {order!r}")
-            if order < 0:
-                raise InvalidParameterError(f"order must be >= 0, got {order}")
-            if order > MAX_ORDER:
-                raise InvalidParameterError(
-                    f"order {order} exceeds the supported maximum {MAX_ORDER} "
-                    f"(factorial table cap; the basis dimension n*(2+t)^p is "
-                    f"astronomical at that order anyway)"
-                )
-            object.__setattr__(self, "order", int(order))
+            object.__setattr__(self, "order", _check_int("order", self.order, 0, MAX_ORDER))
             object.__setattr__(self, "bandwidth", None)
         elif self.family == FAMILY_SOBOLEV:
             object.__setattr__(self, "order", 0)
             object.__setattr__(self, "bandwidth", None)
         else:  # rbf
-            bw = self.bandwidth
-            if bw is None or not math.isfinite(float(bw)) or float(bw) <= 0.0:
-                raise InvalidParameterError(
-                    f"rbf requires a finite bandwidth > 0, got {bw!r}"
-                )
+            # a number given as text (a hand-edited model file, say) is converted first
+            bw = float(self.bandwidth) if isinstance(self.bandwidth, str) else self.bandwidth
             object.__setattr__(self, "order", 0)
-            object.__setattr__(self, "bandwidth", float(bw))
+            object.__setattr__(self, "bandwidth", _check_real("rbf bandwidth", bw, 0.0, ends="()"))
 
     @classmethod
     def har(cls, order: int = 0) -> "KernelSpec":
@@ -222,12 +210,13 @@ class GramMatrix:
 # ---------------------------------------------------------------------------
 # input checks
 
-def _as_vector(x, length: int, name: str) -> np.ndarray:
-    """`x` as a finite float64 vector of `length` entries: a point, y or alpha."""
+def _as_vector(x, length: int, name: str, against: str = "the knots") -> np.ndarray:
+    """`x` as a finite float64 vector of `length` entries, the length of
+    `against`: a point, y or alpha."""
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     if arr.shape[0] != length:
         raise DimensionMismatchError(
-            f"{name} has length {arr.shape[0]}, expected {length} to match the knots"
+            f"{name} has length {arr.shape[0]}, expected {length} to match {against}"
         )
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains NaN or infinite entries")
@@ -309,10 +298,8 @@ def _product_form_value(x: np.ndarray, xp: np.ndarray, knots: np.ndarray, t: int
 
 def mixed_sobolev_kernel(x, x_prime) -> float:
     """Product Sobolev kernel on [0,1]^p: prod_j cosh(lo) cosh(1-hi) / sinh(1)."""
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    xq = _as_vector(x_prime, xv.shape[0], "x_prime")
-    if not np.all(np.isfinite(xv)):
-        raise InvalidInputError("x contains NaN or infinite entries")
+    xq = _as_vector(x_prime, np.size(x), "x_prime", "x")
+    xv = _as_vector(x, xq.size, "x")
     _require_unit_cube(xv, "x")
     _require_unit_cube(xq, "x_prime")
     lo = np.minimum(xv, xq)
@@ -326,10 +313,8 @@ def mixed_sobolev_kernel(x, x_prime) -> float:
 def rbf_kernel(x, x_prime, bandwidth: float) -> float:
     """Gaussian kernel exp(-||x-x'||^2 / (2 bw^2)); exactly 1 at x == x'."""
     spec = KernelSpec.rbf(bandwidth)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    xq = _as_vector(x_prime, xv.shape[0], "x_prime")
-    if not np.all(np.isfinite(xv)):
-        raise InvalidInputError("x contains NaN or infinite entries")
+    xq = _as_vector(x_prime, np.size(x), "x_prime", "x")
+    xv = _as_vector(x, xq.size, "x")
     d2 = 0.0
     for j in range(xv.shape[0]):
         diff = xv[j] - xq[j]
@@ -341,12 +326,10 @@ def kernel_value(x, x_prime, knots: DesignMatrix, spec: KernelSpec) -> float:
     """Family dispatch for a single pair of points."""
     if spec.family == FAMILY_HAR:
         return har_kernel(x, x_prime, knots, spec.order)
-    if spec.family == FAMILY_SOBOLEV:
-        xv = _as_vector(x, knots.p, "x")
-        xq = _as_vector(x_prime, knots.p, "x_prime")
-        return mixed_sobolev_kernel(xv, xq)
     xv = _as_vector(x, knots.p, "x")
     xq = _as_vector(x_prime, knots.p, "x_prime")
+    if spec.family == FAMILY_SOBOLEV:
+        return mixed_sobolev_kernel(xv, xq)
     return rbf_kernel(xv, xq, spec.bandwidth)
 
 
@@ -496,13 +479,9 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
 
 
 def _resolve_workers(threads: int | None) -> int:
-    if threads is None or threads == 0:
-        return os.cpu_count() or 1
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool):
-        raise InvalidParameterError(f"threads must be an integer, got {threads!r}")
-    if threads < 0:
-        raise InvalidParameterError(f"threads must be >= 0, got {threads}")
-    return int(threads)
+    """The worker count: `threads`, an integer >= 0, where None and 0 mean
+    one per core."""
+    return (0 if threads is None else _check_int("threads", threads, 0)) or os.cpu_count() or 1
 
 
 def _row_slices(m: int) -> list:

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -44,6 +45,8 @@ from .exceptions import (
     SchemaError,
     SingularSystemError,
     UndefinedScaleError,
+    _check_int,
+    _check_real,
 )
 from .kernels import (
     FAMILY_RBF,
@@ -63,6 +66,9 @@ DEFAULT_GRID_COUNT = 50
 GRID_SPAN = 1e-8
 RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
 
+#: a model's lambda rule, for `fit` before it builds a Gram and for every `FittedModel`
+_check_model_lambda = partial(_check_real, "lambda", low=0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
@@ -81,11 +87,9 @@ class FittedModel:
             raise DimensionMismatchError(
                 f"scaling has p={self.scaling.p} but knots have p={self.knots.p}"
             )
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise InvalidParameterError(f"lambda must be finite and >= 0, got {self.lam}")
+        object.__setattr__(self, "lam", _check_model_lambda(self.lam))
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "lam", float(self.lam))
 
 
 def fit(
@@ -107,8 +111,7 @@ def fit(
     unit-cube coordinates (identity scaling).
     """
     yv = _as_vector(y, knots.n, "y")
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise InvalidParameterError(f"lambda must be finite and >= 0, got {lam!r}")
+    lam = _check_model_lambda(lam)
     if gram is None:
         gram = gram_matrix(knots, spec, threads=threads)
     else:
@@ -125,7 +128,7 @@ def fit(
     if scaling is None:
         scaling = ScalingParams.identity(knots.p)
     return FittedModel(
-        knots=knots, spec=spec, lam=float(lam), alpha=cho_solve(factor, yv), scaling=scaling
+        knots=knots, spec=spec, lam=lam, alpha=cho_solve(factor, yv), scaling=scaling
     )
 
 
@@ -173,11 +176,10 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
     Kernel knots stay fixed: e_i equals the residual at row i of a model
     refit on the other n-1 rows of the SAME Gram matrix.  Requires lam > 0.
     """
-    yv = _as_vector(y, gram.n, "y")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise InvalidParameterError(f"loocv requires lambda > 0, got {lam!r}")
+    yv = _as_vector(y, gram.n, "y", "the Gram")
+    lam = _check_real("lambda", lam, 0.0, ends="()")
     w, V = eigh(gram.values, driver="evd")
-    return _loo_grid(w, V, yv, np.array([float(lam)]))[1][:, 0]
+    return _loo_grid(w, V, yv, np.array([lam]))[1][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +189,8 @@ def check_tuning(epsilon: float = DEFAULT_EPSILON, grid_count: int = DEFAULT_GRI
     """The one owner of the tuning parameter rules (epsilon in (0, 1), an
     integer grid count >= 1), for `tune`, `lambda_grid` and callers that
     check before they read any data."""
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    if not isinstance(grid_count, (int, np.integer)) or isinstance(grid_count, bool) or grid_count < 1:
-        raise InvalidParameterError(f"grid count must be an integer >= 1, got {grid_count!r}")
+    _check_real("epsilon", epsilon, 0.0, 1.0, "()")
+    _check_int("grid count", grid_count, 1)
 
 
 def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
@@ -220,7 +220,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     computed exactly; `tune` reuses the one from its own eigendecomposition.
     """
     check_tuning(epsilon)
-    factor = _bound_factor(_as_vector(y, gram.n, "y"), epsilon)
+    factor = _bound_factor(_as_vector(y, gram.n, "y", "the Gram"), epsilon)
     eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
@@ -228,8 +228,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
 def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
     """Geometric grid of `count` values from lambda0 * 1e-8 up to lambda0,
     ascending, endpoint exact; a count of 1 is lambda0 alone."""
-    if not (lambda0 > 0.0 and math.isfinite(lambda0)):
-        raise InvalidParameterError(f"lambda0 must be finite and > 0, got {lambda0!r}")
+    lambda0 = _check_real("lambda0", lambda0, 0.0, ends="()")
     check_tuning(grid_count=count)
     spans = np.geomspace(GRID_SPAN, 1.0, int(count))
     spans[-1] = 1.0  # already so for count >= 2; at count 1 the grid is lambda0 alone
