@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, UnsupportedSizeError, _check_real
-from .kernels import DesignMatrix, KernelSpec, _as_vector, _require_unit_cube
+from .exceptions import DimensionMismatchError, UnsupportedSizeError, _as_vector, _check_real
+from .kernels import DesignMatrix, KernelSpec, _require_unit_cube
 
 # Size guards: expansion refuses anything bigger, and the primal ridge fit
 # additionally caps the dimension d of its (n, d) design.
@@ -155,8 +155,4 @@ def explicit_ridge_fit(knots: DesignMatrix, y, order: int, lam: float) -> np.nda
 def explicit_predict(beta: np.ndarray, points: DesignMatrix, knots: DesignMatrix, order: int = 0) -> np.ndarray:
     """Predictions H(points) @ beta of a primal fit."""
     H = expansion_matrix(points, knots, order)
-    if H.shape[1] != beta.shape[0]:
-        raise DimensionMismatchError(
-            f"beta has length {beta.shape[0]}, expansion has dimension {H.shape[1]}"
-        )
-    return H @ beta
+    return H @ _as_vector(beta, H.shape[1], "beta", "the expansion")

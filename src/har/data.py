@@ -22,6 +22,8 @@ from .exceptions import (
     InvalidParameterError,
     NonNumericColumnError,
     SchemaError,
+    _as_matrix,
+    _as_vector,
     _check_int,
     _check_real,
 )
@@ -66,24 +68,14 @@ class Dataset:
     n_dropped: int = 0
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        targ = np.array(self.target, dtype=np.float64, copy=True)
-        if feats.ndim != 2:
-            raise DimensionMismatchError(f"features must be 2-D, got shape {feats.shape}")
-        if targ.ndim != 1 or targ.shape[0] != feats.shape[0]:
-            raise DimensionMismatchError(
-                f"target shape {targ.shape} does not match features {feats.shape}"
-            )
-        if feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise InvalidInputError(f"dataset needs n >= 1 and p >= 1, got {feats.shape}")
-        if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targ))):
-            raise InvalidInputError("dataset contains NaN or infinite entries")
+        feats = _as_matrix(self.features, "features")
+        targ = _as_vector(self.target, feats.shape[0], "target", "the features")
+        if np.ndim(self.target) != 1:
+            raise DimensionMismatchError(f"target must be 1-D, got shape {np.shape(self.target)}")
         if len(self.feature_names) != feats.shape[1]:
             raise DimensionMismatchError(
                 f"{len(self.feature_names)} feature names for {feats.shape[1]} columns"
             )
-        feats.setflags(write=False)
-        targ.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "target", targ)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -214,16 +206,10 @@ class ScalingParams:
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.array(self.mins, dtype=np.float64, copy=True).reshape(-1)
-        maxs = np.array(self.maxs, dtype=np.float64, copy=True).reshape(-1)
-        if mins.shape != maxs.shape:
-            raise DimensionMismatchError("mins and maxs must have the same length")
-        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-            raise InvalidInputError("scaling bounds contain NaN or infinite entries")
+        mins = _as_vector(self.mins, None, "mins")
+        maxs = _as_vector(self.maxs, mins.shape[0], "maxs", "mins")
         if np.any(maxs < mins):
             raise InvalidInputError("scaling has max < min for some feature")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -240,16 +226,13 @@ class ScalingParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
-        return cls(mins=np.asarray(d["mins"]), maxs=np.asarray(d["maxs"]))
+        # converted here, so text in a model file is a SchemaError, not an input fault
+        return cls(*(np.asarray(d[key], dtype=np.float64) for key in ("mins", "maxs")))
 
 
 def fit_scaling(features: np.ndarray) -> ScalingParams:
     """Column-wise min/max of the training rows."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise DimensionMismatchError(f"features must be (n, p) with n >= 1, got {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise InvalidInputError("features contain NaN or infinite entries")
+    feats = _as_matrix(features, "features")
     return ScalingParams(mins=feats.min(axis=0), maxs=feats.max(axis=0))
 
 
@@ -259,15 +242,11 @@ def apply_scaling(features: np.ndarray, params: ScalingParams) -> np.ndarray:
     A constant training column (max == min) maps everything to 0.5.  Rows
     outside the training range (test data) clamp to the cube boundary.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DimensionMismatchError(f"features must be 2-D, got shape {feats.shape}")
+    feats = _as_matrix(features, "features")
     if feats.shape[1] != params.p:
         raise DimensionMismatchError(
             f"features have p={feats.shape[1]} but scaling has p={params.p}"
         )
-    if not np.all(np.isfinite(feats)):
-        raise InvalidInputError("features contain NaN or infinite entries")
     span = params.maxs - params.mins
     safe = np.where(span == 0.0, 1.0, span)
     scaled = (feats - params.mins[None, :]) / safe[None, :]

@@ -27,6 +27,7 @@ generator, features are drawn before noise.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
@@ -205,16 +206,20 @@ class ConvergenceReport:
                     raise InvalidInputError(f"non-finite report value at n={row.n}")
 
 
-def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int = 1) -> None:
+def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int = 1) -> tuple:
     """The one owner of the study size rules (strictly increasing sample
     sizes from 2 up, at least one repeat and one test row), for the runners
-    and callers that check before they draw or read any data."""
-    for n in n_values:
-        _check_int("each n_values item", n, 2, why="the rate is 0 at n=1")
+    and callers that check before they draw or read any data.  Returns
+    n_values as a tuple of ints."""
+    try:
+        n_values = tuple(_check_int("each n_values item", n, 2, why="the rate is 0 at n=1") for n in n_values)
+    except TypeError:  # not iterable
+        raise InvalidParameterError(f"n_values must be a sequence of sample sizes, got {n_values!r}") from None
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameterError("n_values must be non-empty and strictly increasing")
     _check_int("repeats", repeats, 1)
     _check_int("test_size", test_size, 1)
+    return n_values
 
 
 def run_convergence(
@@ -235,9 +240,7 @@ def run_convergence(
     alone.  Training features are drawn on the unit cube and used unscaled.
     `progress`, if given, is called with a short string after each cell.
     """
-    n_values = tuple(n_values)
-    check_study(n_values=n_values, repeats=replications, test_size=test_size)
-    n_values = tuple(int(v) for v in n_values)
+    n_values = check_study(n_values=n_values, repeats=replications, test_size=test_size)
 
     errors = np.zeros((len(n_values), replications))
     for r in range(replications):
@@ -364,6 +367,8 @@ def run_benchmark(
     under `failures` and the run continues; any other exception is a bug and
     propagates.  Target column is the last column of each file.
     """
+    if isinstance(dataset_paths, (str, os.PathLike)):
+        raise InvalidParameterError(f"dataset_paths must be a list of paths, not the one path {dataset_paths!r}")
     check_study(repeats=repeats)
     rng_from(seed)
     _resolve_workers(threads)

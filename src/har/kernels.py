@@ -66,6 +66,8 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidParameterError,
+    _as_matrix,
+    _as_vector,
     _check_int,
     _check_real,
 )
@@ -119,10 +121,9 @@ class KernelSpec:
             object.__setattr__(self, "order", 0)
             object.__setattr__(self, "bandwidth", None)
         else:  # rbf
-            # a number given as text (a hand-edited model file, say) is converted first
-            bw = float(self.bandwidth) if isinstance(self.bandwidth, str) else self.bandwidth
             object.__setattr__(self, "order", 0)
-            object.__setattr__(self, "bandwidth", _check_real("rbf bandwidth", bw, 0.0, ends="()"))
+            bandwidth = _check_real("rbf bandwidth", self.bandwidth, 0.0, ends="()")
+            object.__setattr__(self, "bandwidth", bandwidth)
 
     @classmethod
     def har(cls, order: int = 0) -> "KernelSpec":
@@ -141,10 +142,11 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
+        bandwidth = d.get("bandwidth")  # text in a (hand-edited) model file is converted here
         return cls(
             family=d["family"],
             order=d.get("order", 0) or 0,
-            bandwidth=d.get("bandwidth"),
+            bandwidth=float(bandwidth) if isinstance(bandwidth, str) else bandwidth,
         )
 
 
@@ -160,18 +162,7 @@ class DesignMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 2:
-            raise DimensionMismatchError(
-                f"design matrix must be 2-D, got shape {vals.shape}"
-            )
-        n, p = vals.shape
-        if n < 1 or p < 1:
-            raise InvalidInputError(f"design matrix needs n >= 1 and p >= 1, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInputError("design matrix contains NaN or infinite entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _as_matrix(self.values, "design matrix"))
 
     @property
     def n(self) -> int:
@@ -209,19 +200,6 @@ class GramMatrix:
 
 # ---------------------------------------------------------------------------
 # input checks
-
-def _as_vector(x, length: int, name: str, against: str = "the knots") -> np.ndarray:
-    """`x` as a finite float64 vector of `length` entries, the length of
-    `against`: a point, y or alpha."""
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != length:
-        raise DimensionMismatchError(
-            f"{name} has length {arr.shape[0]}, expected {length} to match {against}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains NaN or infinite entries")
-    return arr
-
 
 def _require_unit_cube(vals: np.ndarray, what: str) -> None:
     if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
@@ -298,8 +276,8 @@ def _product_form_value(x: np.ndarray, xp: np.ndarray, knots: np.ndarray, t: int
 
 def mixed_sobolev_kernel(x, x_prime) -> float:
     """Product Sobolev kernel on [0,1]^p: prod_j cosh(lo) cosh(1-hi) / sinh(1)."""
-    xq = _as_vector(x_prime, np.size(x), "x_prime", "x")
-    xv = _as_vector(x, xq.size, "x")
+    xv = _as_vector(x, None, "x")
+    xq = _as_vector(x_prime, xv.size, "x_prime", "x")
     _require_unit_cube(xv, "x")
     _require_unit_cube(xq, "x_prime")
     lo = np.minimum(xv, xq)
@@ -313,8 +291,8 @@ def mixed_sobolev_kernel(x, x_prime) -> float:
 def rbf_kernel(x, x_prime, bandwidth: float) -> float:
     """Gaussian kernel exp(-||x-x'||^2 / (2 bw^2)); exactly 1 at x == x'."""
     spec = KernelSpec.rbf(bandwidth)
-    xq = _as_vector(x_prime, np.size(x), "x_prime", "x")
-    xv = _as_vector(x, xq.size, "x")
+    xv = _as_vector(x, None, "x")
+    xq = _as_vector(x_prime, xv.size, "x_prime", "x")
     d2 = 0.0
     for j in range(xv.shape[0]):
         diff = xv[j] - xq[j]
@@ -326,11 +304,10 @@ def kernel_value(x, x_prime, knots: DesignMatrix, spec: KernelSpec) -> float:
     """Family dispatch for a single pair of points."""
     if spec.family == FAMILY_HAR:
         return har_kernel(x, x_prime, knots, spec.order)
-    xv = _as_vector(x, knots.p, "x")
-    xq = _as_vector(x_prime, knots.p, "x_prime")
+    xv = _as_vector(x, knots.p, "x")  # the pointwise kernels check x_prime against x
     if spec.family == FAMILY_SOBOLEV:
-        return mixed_sobolev_kernel(xv, xq)
-    return rbf_kernel(xv, xq, spec.bandwidth)
+        return mixed_sobolev_kernel(xv, x_prime)
+    return rbf_kernel(xv, x_prime, spec.bandwidth)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .exceptions import (
     SchemaError,
     SingularSystemError,
     UndefinedScaleError,
+    _as_vector,
     _check_int,
     _check_real,
 )
@@ -53,7 +54,6 @@ from .kernels import (
     DesignMatrix,
     GramMatrix,
     KernelSpec,
-    _as_vector,
     _cross_row_blocks,
     gram_matrix,
 )
@@ -82,14 +82,12 @@ class FittedModel:
     scaling: ScalingParams
 
     def __post_init__(self):
-        alpha = _as_vector(self.alpha, self.knots.n, "alpha").copy()
+        object.__setattr__(self, "alpha", _as_vector(self.alpha, self.knots.n, "alpha"))
         if self.scaling.p != self.knots.p:
             raise DimensionMismatchError(
                 f"scaling has p={self.scaling.p} but knots have p={self.knots.p}"
             )
         object.__setattr__(self, "lam", _check_model_lambda(self.lam))
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
 
 
 def fit(

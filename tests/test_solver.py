@@ -615,6 +615,7 @@ def test_model_file_version_and_keys(tmp_path):
         ("kernel", "har"),
         ("kernel", {"family": "rbf", "bandwidth": "wide"}),
         ("scaling", {}),
+        ("scaling", {"mins": ["a", "b"], "maxs": [1, 1]}),
         ("lambda", "small"),
         ("alpha", ["x", 1.0]),
         ("knots", [[0.5], [0.7, 0.1]]),
