@@ -33,7 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_table
+from .data import (
+    SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_json, write_table,
+)
 from .exceptions import HarError, InvalidParameterError, SchemaError
 from .experiments import (
     BENCH_MAX_ROWS,
@@ -46,12 +48,6 @@ from .experiments import (
     run_benchmark,
     run_convergence,
     run_demo,
-    write_benchmark_csv,
-    write_benchmark_json,
-    write_convergence_csv,
-    write_convergence_json,
-    write_demo_csv,
-    write_demo_json,
 )
 from .kernels import FAMILIES, DesignMatrix, KernelSpec, _resolve_workers
 from .solver import (
@@ -300,21 +296,20 @@ def cmd_predict(cfg: dict) -> dict:
     return summary
 
 
-def _run_study(cfg: dict, run, write_csv, write_json, fields) -> dict:
-    """Run a study with the shared tuning options, write its CSV and its JSON
-    twin (whose ``config`` block is the runner's own record), and summarize."""
+def _run_study(cfg: dict, run, fields) -> dict:
+    """Run a study with the shared tuning options, write its CSV table and its
+    JSON twin (whose ``config`` block is the runner's own record), and
+    summarize it with `fields` of that same twin."""
     out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
     report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
-    write_csv(report, cfg["out"])
-    write_json(report, out_json)
-    return {"command": cfg["command"], "out": str(cfg["out"]), "out_json": str(out_json), **fields(report)}
+    document = report.document()
+    write_table(cfg["out"], *report.table())
+    write_json(out_json, document)
+    return {"command": cfg["command"], "out": str(cfg["out"]), "out_json": str(out_json), **fields(document)}
 
 
 def cmd_simulate(cfg: dict) -> dict:
-    return _run_study(
-        cfg, run_demo, write_demo_csv, write_demo_json,
-        lambda result: {"chosen": result.chosen},
-    )
+    return _run_study(cfg, run_demo, lambda doc: {"chosen": doc["chosen"]})
 
 
 def cmd_convergence(cfg: dict) -> dict:
@@ -322,14 +317,11 @@ def cmd_convergence(cfg: dict) -> dict:
         run_convergence, n_values=cfg["n_values"], replications=cfg["repeats"],
         test_size=cfg["test_size"], progress=_progress,
     )
-    return _run_study(
-        cfg, run, write_convergence_csv, write_convergence_json,
-        lambda report: {
-            "first_ratio": report.rows[0].ratio,
-            "last_ratio": report.rows[-1].ratio,
-            "mean_rmse": [row.mean_rmse for row in report.rows],
-        },
-    )
+    return _run_study(cfg, run, lambda doc: {
+        "first_ratio": doc["rows"][0]["ratio"],
+        "last_ratio": doc["rows"][-1]["ratio"],
+        "mean_rmse": [row["mean_rmse"] for row in doc["rows"]],
+    })
 
 
 def cmd_bench(cfg: dict) -> dict:
@@ -337,13 +329,7 @@ def cmd_bench(cfg: dict) -> dict:
         run_benchmark, cfg["datasets"], repeats=cfg["repeats"],
         train_fraction=cfg["train_frac"], max_rows=cfg["max_rows"], progress=_progress,
     )
-    return _run_study(
-        cfg, run, write_benchmark_csv, write_benchmark_json,
-        lambda report: {
-            "cells": len(report.cells),
-            "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
-        },
-    )
+    return _run_study(cfg, run, lambda doc: {"cells": len(doc["cells"]), "failures": doc["failures"]})
 
 
 #: command -> (runner, help, options); each runner reads every option it

@@ -15,6 +15,10 @@ Three runners, each a pure function of (config, seed):
 * `run_benchmark` splits user-supplied CSV datasets 80/20, tunes every
   kernel family on the same split, and aggregates test RMSE over repeats.
 
+Each runner returns a report that owns the layout of its two files:
+`table()` gives the CSV header and rows for `data.write_table`, and
+`document()` the JSON twin for `data.write_json`.
+
 Every random draw flows through `rng_from(seed, *key)` with a fixed string
 key per purpose, so cells are independent of execution order: the test draw
 for replication r uses key ("convergence", "test", r), the training draw
@@ -45,8 +49,6 @@ from .data import (
     rmse,
     rng_from,
     split_dataset,
-    write_json,
-    write_table,
 )
 from .exceptions import HarError, InvalidInputError, InvalidParameterError, _check_int
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix, _resolve_workers
@@ -131,6 +133,20 @@ class DemoResult:
     train_y: np.ndarray
     config: dict
 
+    def table(self) -> tuple:
+        """CSV header and rows: the grid, the true mean, each family's fit."""
+        families = list(self.predictions)
+        columns = [self.grid, self.truth, *(self.predictions[f] for f in families)]
+        return ["x", "truth", *families], np.column_stack(columns)
+
+    def document(self) -> dict:
+        """The JSON twin: the run's record, each family's choice, the draw."""
+        return {
+            "config": self.config,
+            "chosen": self.chosen,
+            "train": {"x": self.train_x.tolist(), "y": self.train_y.tolist()},
+        }
+
 
 def run_demo(
     seed: int,
@@ -205,16 +221,37 @@ class ConvergenceReport:
                 if not math.isfinite(v):
                     raise InvalidInputError(f"non-finite report value at n={row.n}")
 
+    def table(self) -> tuple:
+        """CSV header and rows: one row per sample size."""
+        return [f.name for f in fields(ConvergenceRow)], [astuple(row) for row in self.rows]
+
+    def document(self) -> dict:
+        """The JSON twin: the run's record, the rows, every replication's RMSE."""
+        return {
+            "config": self.config,
+            "rows": [asdict(row) for row in self.rows],
+            "rmse_by_replication": self.rmse_table,
+        }
+
+
+def _sequence(name: str, items, what: str) -> tuple:
+    """`items` taken once as a tuple (a generator works); a non-iterable is
+    InvalidParameterError."""
+    try:
+        return tuple(items)
+    except TypeError:  # not iterable
+        raise InvalidParameterError(f"{name} must be a sequence of {what}, got {items!r}") from None
+
 
 def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int = 1) -> tuple:
     """The one owner of the study size rules (strictly increasing sample
     sizes from 2 up, at least one repeat and one test row), for the runners
     and callers that check before they draw or read any data.  Returns
     n_values as a tuple of ints."""
-    try:
-        n_values = tuple(_check_int("each n_values item", n, 2, why="the rate is 0 at n=1") for n in n_values)
-    except TypeError:  # not iterable
-        raise InvalidParameterError(f"n_values must be a sequence of sample sizes, got {n_values!r}") from None
+    n_values = tuple(
+        _check_int("each n_values item", n, 2, why="the rate is 0 at n=1")
+        for n in _sequence("n_values", n_values, "sample sizes")
+    )
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameterError("n_values must be non-empty and strictly increasing")
     _check_int("repeats", repeats, 1)
@@ -288,15 +325,26 @@ class BenchmarkCell:
     mean_rmse: float
     sd_rmse: float
     wall_clock_seconds: float
-    rmses: tuple
+    rmses: tuple  # last: the CSV table leaves it out
 
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkReport:
     cells: tuple
-    failures: tuple
-    repeats: int
+    failures: tuple  # (dataset name, error message) pairs
     config: dict
+
+    def table(self) -> tuple:
+        """CSV header and rows: one row per cell, without its per-repeat RMSEs."""
+        return [f.name for f in fields(BenchmarkCell)][:-1], [astuple(c)[:-1] for c in self.cells]
+
+    def document(self) -> dict:
+        """The JSON twin: the run's record, every cell, every failed dataset."""
+        return {
+            "config": self.config,
+            "cells": [asdict(c) for c in self.cells],
+            "failures": [{"dataset": name, "error": msg} for name, msg in self.failures],
+        }
 
 
 def _bench_one_dataset(
@@ -362,17 +410,29 @@ def run_benchmark(
     """Tune every method on shared splits of each dataset, `repeats` times.
 
     Within a repeat all methods see the same train/test rows.  The study's
-    own parameters are checked before any dataset is opened.  A dataset
+    own parameters are checked before any dataset is opened: `dataset_paths`
+    and `methods` are each taken once (a generator works), every path must
+    be a ``str`` or ``os.PathLike``, and no two paths may share a file stem,
+    which names the dataset's cells and keys its split seeds.  A dataset
     that fails to load or fit (a package error or an I/O error) is recorded
     under `failures` and the run continues; any other exception is a bug and
     propagates.  Target column is the last column of each file.
     """
     if isinstance(dataset_paths, (str, os.PathLike)):
         raise InvalidParameterError(f"dataset_paths must be a list of paths, not the one path {dataset_paths!r}")
+    dataset_paths = _sequence("dataset_paths", dataset_paths, "paths")
+    methods = _sequence("methods", methods, "kernel families")
+    names = []
+    for path in dataset_paths:
+        if not isinstance(path, (str, os.PathLike)):
+            raise InvalidParameterError(f"each dataset_paths item must be a path, got {path!r}")
+        name = Path(path).stem
+        if name in names:
+            raise InvalidParameterError(f"two dataset_paths share the file stem {name!r}")
+        names.append(name)
     check_study(repeats=repeats)
     rng_from(seed)
     _resolve_workers(threads)
-    methods = tuple(methods)
     for m in methods:
         if m not in FAMILIES:
             raise InvalidParameterError(f"unknown method {m!r}; expected one of {FAMILIES}")
@@ -380,8 +440,7 @@ def run_benchmark(
     split = SplitSpec(train_fraction=train_fraction, max_rows=max_rows)
     cells = []
     failures = []
-    for path in dataset_paths:
-        name = Path(path).stem
+    for name, path in zip(names, dataset_paths):
         try:
             dataset = load_csv(path)
             cells.extend(_bench_one_dataset(
@@ -403,50 +462,4 @@ def run_benchmark(
         "epsilon": float(epsilon),
         "generator": GENERATOR_NAME,
     }
-    return BenchmarkReport(cells=tuple(cells), failures=tuple(failures), repeats=int(repeats), config=config)
-
-
-# ---------------------------------------------------------------------------
-# report files
-
-_BENCH_COLUMNS = ("dataset", "method", "n", "p", "mean_rmse", "sd_rmse", "wall_clock_seconds")
-
-
-def write_demo_csv(result: DemoResult, path) -> None:
-    families = list(result.predictions)
-    columns = [result.grid, result.truth, *(result.predictions[f] for f in families)]
-    write_table(path, ["x", "truth", *families], np.column_stack(columns))
-
-
-def write_demo_json(result: DemoResult, path) -> None:
-    write_json(path, {
-        "config": result.config,
-        "chosen": result.chosen,
-        "train": {"x": result.train_x.tolist(), "y": result.train_y.tolist()},
-    })
-
-
-def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    header = [f.name for f in fields(ConvergenceRow)]
-    write_table(path, header, [astuple(row) for row in report.rows])
-
-
-def write_convergence_json(report: ConvergenceReport, path) -> None:
-    write_json(path, {
-        "config": report.config,
-        "rows": [asdict(row) for row in report.rows],
-        "rmse_by_replication": report.rmse_table,
-    })
-
-
-def write_benchmark_csv(report: BenchmarkReport, path) -> None:
-    rows = [[getattr(c, name) for name in _BENCH_COLUMNS] for c in report.cells]
-    write_table(path, _BENCH_COLUMNS, rows)
-
-
-def write_benchmark_json(report: BenchmarkReport, path) -> None:
-    write_json(path, {
-        "config": report.config,
-        "cells": [asdict(c) for c in report.cells],
-        "failures": [{"dataset": name, "error": msg} for name, msg in report.failures],
-    })
+    return BenchmarkReport(cells=tuple(cells), failures=tuple(failures), config=config)

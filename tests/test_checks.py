@@ -62,7 +62,10 @@ ENTRY_POINTS = {
     "run_convergence.n_values": (lambda v: _convergence(n_values=v), [(20.5, 40), ("20", "40"), (1, 5), 5, None]),
     "check_study.repeats": (lambda v: check_study(repeats=v), [1.0, "1", True, 0]),
     "run_benchmark.repeats": (lambda v: run_benchmark([], 0, repeats=v), [1.5, "1", 0]),
-    "run_benchmark.dataset_paths": (lambda v: run_benchmark(v, 0, repeats=1), ["a.csv", Path("a.csv")]),
+    "run_benchmark.dataset_paths": (
+        lambda v: run_benchmark(v, 0, repeats=1), ["a.csv", Path("a.csv"), 5, None, [5], ["a.csv", None]]
+    ),
+    "run_benchmark.methods": (lambda v: run_benchmark([], 0, methods=v, repeats=1), [5]),
 }
 
 

@@ -509,6 +509,35 @@ def test_bench_subcommand(tmp_path, capsys):
     assert len(rows) == 4
 
 
+#: study -> (its arguments, its summary fields projected from its JSON twin)
+STUDY_SUMMARIES = {
+    "simulate": (["--grid", "5"], lambda doc: {"chosen": doc["chosen"]}),
+    "convergence": (
+        ["--n-values", "20,40", "--repeats", "1", "--test-size", "50", "--grid", "3"],
+        lambda doc: {
+            "first_ratio": doc["rows"][0]["ratio"],
+            "last_ratio": doc["rows"][-1]["ratio"],
+            "mean_rmse": [row["mean_rmse"] for row in doc["rows"]],
+        },
+    ),
+    "bench": (
+        ["--datasets", "{train},{missing}", "--repeats", "1", "--grid", "3"],
+        lambda doc: {"cells": len(doc["cells"]), "failures": doc["failures"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("study", list(STUDY_SUMMARIES))
+def test_study_summary_is_a_projection_of_its_json_twin(study, train_csv, tmp_path, capsys):
+    args, project = STUDY_SUMMARIES[study]
+    args = [a.format(train=train_csv, missing=tmp_path / "missing.csv") for a in args]
+    out, out_json = tmp_path / f"{study}.csv", tmp_path / f"{study}.json"
+    code, summary, _ = run_cli(capsys, study, *args, "--out", str(out))
+    assert code == EXIT_OK
+    doc = json.loads(out_json.read_text())
+    assert summary == {"command": study, "out": str(out), "out_json": str(out_json), **project(doc)}
+
+
 def test_bench_requires_datasets(tmp_path, capsys):
     code, summary, _ = run_cli(capsys, "bench", "--out", str(tmp_path / "b.csv"))
     assert code == EXIT_USAGE and "--datasets" in summary["error"]["message"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from har import experiments
-from har.data import rng_from
+from har.data import rng_from, write_json, write_table
 from har.exceptions import InvalidInputError, InvalidParameterError
 from har.experiments import (
     INTERACTION_X0,
@@ -21,12 +21,6 @@ from har.experiments import (
     simulate_demo_1d,
     simulate_interaction_10d,
     theoretical_rate,
-    write_benchmark_csv,
-    write_benchmark_json,
-    write_convergence_csv,
-    write_convergence_json,
-    write_demo_csv,
-    write_demo_json,
 )
 
 
@@ -110,18 +104,18 @@ def test_demo_piecewise_constant_between_knots(demo):
 def test_demo_deterministic_files(tmp_path, demo):
     again = run_demo(11, grid_count=25)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_demo_csv(demo, a_csv)
-    write_demo_csv(again, b_csv)
+    write_table(a_csv, *demo.table())
+    write_table(b_csv, *again.table())
     assert filecmp.cmp(a_csv, b_csv, shallow=False)
     a_json, b_json = tmp_path / "a.json", tmp_path / "b.json"
-    write_demo_json(demo, a_json)
-    write_demo_json(again, b_json)
+    write_json(a_json, demo.document())
+    write_json(b_json, again.document())
     assert filecmp.cmp(a_json, b_json, shallow=False)
 
 
 def test_demo_csv_round_trips_values(tmp_path, demo):
     path = tmp_path / "demo.csv"
-    write_demo_csv(demo, path)
+    write_table(path, *demo.table())
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "truth", "har", "sobolev", "rbf"]
@@ -140,8 +134,8 @@ def test_convergence_report_shape_and_writers(tmp_path):
     for row in rep.rows:
         assert row.ratio == pytest.approx(row.mean_rmse / row.theoretical_rate, rel=1e-15)
     csv_path, json_path = tmp_path / "c.csv", tmp_path / "c.json"
-    write_convergence_csv(rep, csv_path)
-    write_convergence_json(rep, json_path)
+    write_table(csv_path, *rep.table())
+    write_json(json_path, rep.document())
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "mean_rmse", "theoretical_rate", "ratio"]
@@ -233,8 +227,8 @@ def test_benchmark_deterministic_modulo_timing(bench_files):
 def test_benchmark_writers(bench_files, tmp_path):
     rep = run_benchmark(bench_files, 5, repeats=2, grid_count=5)
     csv_path, json_path = tmp_path / "b.csv", tmp_path / "b.json"
-    write_benchmark_csv(rep, csv_path)
-    write_benchmark_json(rep, json_path)
+    write_table(csv_path, *rep.table())
+    write_json(json_path, rep.document())
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["dataset", "method", "n", "p", "mean_rmse", "sd_rmse", "wall_clock_seconds"]
@@ -258,6 +252,20 @@ def test_benchmark_validation(bench_files):
         run_benchmark(bench_files, 1, repeats=0)
     with pytest.raises(InvalidParameterError):
         run_benchmark(bench_files, 1, methods=("har", "mystery"))
+
+
+def test_benchmark_takes_a_generator_of_paths_once(bench_files):
+    rep = run_benchmark((p for p in bench_files[:1]), 2, methods=("har",), repeats=1, grid_count=3)
+    assert len(rep.cells) == 1 and rep.config["datasets"] == bench_files[:1]
+
+
+def test_benchmark_rejects_two_paths_with_one_stem(bench_files, tmp_path, monkeypatch):
+    # the stem names the cells and keys the split seeds, so two "one" datasets
+    # could not be told apart; no file is opened before the rejection
+    other = tmp_path / "elsewhere" / "one.csv"
+    monkeypatch.setattr(experiments, "load_csv", lambda path: pytest.fail(f"opened {path}"))
+    with pytest.raises(InvalidParameterError, match="stem 'one'"):
+        run_benchmark([bench_files[0], bench_files[1], str(other)], 1, repeats=1)
 
 
 @pytest.mark.parametrize(
