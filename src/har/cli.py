@@ -44,6 +44,7 @@ from .experiments import (
     DEFAULT_REPEATS,
     DEFAULT_REPLICATIONS,
     DEFAULT_TEST_SIZE,
+    check_datasets,
     check_study,
     run_benchmark,
     run_convergence,
@@ -361,7 +362,7 @@ _COMMANDS = {
     )),
     "bench": (cmd_bench, "multi-dataset RMSE comparison over seeded splits", (
         *_study_options("report CSV path", "report JSON path"),
-        Option("--datasets", "comma-separated CSV paths", many=True, required=True),
+        Option("--datasets", "comma-separated CSV paths", many=True, required=True, check=check_datasets),
         Option("--repeats", "independent split/tune/test repeats", int, DEFAULT_REPEATS, check=check_study),
         Option("--train-frac", "training fraction of each split", float, BENCH_TRAIN_FRACTION,
                check=lambda train_frac: SplitSpec(train_fraction=train_frac)),

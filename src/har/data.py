@@ -97,10 +97,17 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     fails to parse as a number rejects the file, naming the column, and so
     does a file that is not UTF-8 text (a leading byte-order mark is skipped).
     The row array may have zero rows (header-only file).
+
+    The body is parsed by one `np.loadtxt` call when it can be; any file that
+    call rejects (a blank, quoted or otherwise unusual cell, a ragged row, no
+    data line) is parsed cell by cell instead, and that loop alone decides
+    every message.  Every cell `np.loadtxt` accepts, Python ``float`` parses
+    to the same value, so both give the same rows.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            # lines pulled by readline, not by iteration, keep fh.tell() usable
+            reader = csv.reader(iter(fh.readline, ""))
             try:
                 header = next(reader)
             except StopIteration:
@@ -110,44 +117,76 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
                 raise SchemaError(f"{path}: blank column name in header")
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate column names in header")
-            width = len(header)
-            kept = []
-            dropped = 0
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue  # trailing blank line
-                if len(row) != width:
-                    raise SchemaError(
-                        f"{path}:{lineno}: expected {width} cells, got {len(row)}"
-                    )
-                parsed = np.empty(width)
-                missing = False
-                for j, cell in enumerate(row):
-                    text = cell.strip()
-                    if not text:
-                        missing = True
-                        continue
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise NonNumericColumnError(
-                            f"{path}: column {header[j]!r} holds non-numeric value "
-                            f"{text!r} (row {lineno})"
-                        ) from None
-                    if not math.isfinite(value):
-                        missing = True
-                        continue
-                    parsed[j] = value
-                if missing:
-                    dropped += 1
-                    continue
-                kept.append(parsed)
+            body = fh.tell()
+            rows = _loadtxt_body(fh, len(header))
+            if rows is None:
+                fh.seek(body)
+                rows, dropped = _parse_cells(path, header, reader)
+            else:
+                finite = np.isfinite(rows).all(axis=1)
+                dropped = rows.shape[0] - int(np.count_nonzero(finite))
+                if dropped:
+                    rows = rows[finite]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    rows = np.array(kept) if kept else np.empty((0, width))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
     return header, rows, dropped
+
+
+def _loadtxt_body(fh, width: int) -> np.ndarray | None:
+    """The rest of `fh` as one (rows, width) array, non-finite cells kept, or
+    None when `np.loadtxt` rejects it, gives another width or would see no
+    data line (it warns on those)."""
+    start = fh.tell()
+    has_data = any(line.strip("\r\n") for line in iter(fh.readline, ""))
+    fh.seek(start)
+    if not has_data:
+        return None
+    try:
+        # comments=None: a "#" is a cell character, never the start of a comment
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # UnicodeDecodeError too: the loop reports it
+        return None
+    return rows if rows.shape[1] == width else None
+
+
+def _parse_cells(path, header: list, reader) -> tuple[np.ndarray, int]:
+    """(kept rows, dropped-row count) of the body, one cell at a time; the
+    owner of every body error message and line number."""
+    width = len(header)
+    kept = []
+    dropped = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue  # trailing blank line
+        if len(row) != width:
+            raise SchemaError(
+                f"{path}:{lineno}: expected {width} cells, got {len(row)}"
+            )
+        parsed = np.empty(width)
+        missing = False
+        for j, cell in enumerate(row):
+            text = cell.strip()
+            if not text:
+                missing = True
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise NonNumericColumnError(
+                    f"{path}: column {header[j]!r} holds non-numeric value "
+                    f"{text!r} (row {lineno})"
+                ) from None
+            if not math.isfinite(value):
+                missing = True
+                continue
+            parsed[j] = value
+        if missing:
+            dropped += 1
+            continue
+        kept.append(parsed)
+    return (np.array(kept) if kept else np.empty((0, width))), dropped
 
 
 def write_table(path, header, rows) -> None:
@@ -161,10 +200,11 @@ def write_table(path, header, rows) -> None:
         if not isinstance(rows, np.ndarray):
             writer.writerows(rows)
             return
-        # Python floats, whose str (what csv writes) is their repr; a block at
-        # a time, so a large table never exists as Python objects all at once
+        # the lines csv writes for rows of Python floats, which it never quotes
+        # and writes as str, their repr; a block at a time, so a large table
+        # never exists as Python objects all at once
         for start in range(0, rows.shape[0], 1024):
-            writer.writerows(rows[start:start + 1024].tolist())
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows[start:start + 1024].tolist()]))
 
 
 def write_json(path, doc) -> None:

@@ -259,6 +259,26 @@ def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int =
     return n_values
 
 
+def check_datasets(datasets) -> tuple:
+    """The one owner of the dataset path rules (a sequence of ``str`` or
+    ``os.PathLike`` paths, taken once so a generator works, no two sharing a
+    file stem, which names the dataset's cells and keys its split seeds), for
+    `run_benchmark` and callers that check before any file is read.  Returns
+    the paths and their stems as two tuples."""
+    if isinstance(datasets, (str, os.PathLike)):
+        raise InvalidParameterError(f"dataset_paths must be a list of paths, not the one path {datasets!r}")
+    paths = _sequence("dataset_paths", datasets, "paths")
+    names = []
+    for path in paths:
+        if not isinstance(path, (str, os.PathLike)):
+            raise InvalidParameterError(f"each dataset_paths item must be a path, got {path!r}")
+        name = Path(path).stem
+        if name in names:
+            raise InvalidParameterError(f"two dataset_paths share the file stem {name!r}")
+        names.append(name)
+    return paths, tuple(names)
+
+
 def run_convergence(
     seed: int,
     *,
@@ -411,25 +431,13 @@ def run_benchmark(
 
     Within a repeat all methods see the same train/test rows.  The study's
     own parameters are checked before any dataset is opened: `dataset_paths`
-    and `methods` are each taken once (a generator works), every path must
-    be a ``str`` or ``os.PathLike``, and no two paths may share a file stem,
-    which names the dataset's cells and keys its split seeds.  A dataset
-    that fails to load or fit (a package error or an I/O error) is recorded
-    under `failures` and the run continues; any other exception is a bug and
-    propagates.  Target column is the last column of each file.
+    by `check_datasets`, and `methods` is taken once (a generator works).
+    A dataset that fails to load or fit (a package error or an I/O error) is
+    recorded under `failures` and the run continues; any other exception is
+    a bug and propagates.  Target column is the last column of each file.
     """
-    if isinstance(dataset_paths, (str, os.PathLike)):
-        raise InvalidParameterError(f"dataset_paths must be a list of paths, not the one path {dataset_paths!r}")
-    dataset_paths = _sequence("dataset_paths", dataset_paths, "paths")
+    dataset_paths, names = check_datasets(dataset_paths)
     methods = _sequence("methods", methods, "kernel families")
-    names = []
-    for path in dataset_paths:
-        if not isinstance(path, (str, os.PathLike)):
-            raise InvalidParameterError(f"each dataset_paths item must be a path, got {path!r}")
-        name = Path(path).stem
-        if name in names:
-            raise InvalidParameterError(f"two dataset_paths share the file stem {name!r}")
-        names.append(name)
     check_study(repeats=repeats)
     rng_from(seed)
     _resolve_workers(threads)

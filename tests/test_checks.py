@@ -15,6 +15,7 @@ from har.basis import explicit_ridge_fit
 from har.data import Dataset, ScalingParams, SplitSpec, apply_scaling, fit_scaling, rng_from, split_dataset
 from har.exceptions import DimensionMismatchError, InvalidInputError, InvalidParameterError
 from har.experiments import (
+    check_datasets,
     check_study,
     run_benchmark,
     run_convergence,
@@ -65,6 +66,7 @@ ENTRY_POINTS = {
     "run_benchmark.dataset_paths": (
         lambda v: run_benchmark(v, 0, repeats=1), ["a.csv", Path("a.csv"), 5, None, [5], ["a.csv", None]]
     ),
+    "check_datasets": (check_datasets, ["a.csv", Path("a.csv"), 5, None, [5], ["a/x.csv", Path("b/x.csv")]]),
     "run_benchmark.methods": (lambda v: run_benchmark([], 0, methods=v, repeats=1), [5]),
 }
 

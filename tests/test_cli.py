@@ -371,6 +371,7 @@ _OFF_RULE = [
     ("bench", ["--repeats", "0"], "--repeats"),
     ("bench", ["--train-frac", "1.5"], "--train-frac"),
     ("bench", ["--max-rows", "1"], "--max-rows"),
+    ("bench", ["--datasets", "missing.csv,d2/missing.csv"], "--datasets"),
 ]
 
 

@@ -1,6 +1,11 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from har import data
 from har.data import (
     GENERATOR_NAME,
     Dataset,
@@ -13,9 +18,11 @@ from har.data import (
     rmse,
     rng_from,
     split_dataset,
+    write_table,
 )
 from har.exceptions import (
     DimensionMismatchError,
+    HarError,
     InvalidInputError,
     InvalidParameterError,
     NonNumericColumnError,
@@ -116,6 +123,82 @@ def test_non_utf8_file_rejected_as_schema_error(tmp_path):
     path.write_bytes(b"a,y\n0.5,1\n\xe9,2\n")
     with pytest.raises(SchemaError, match="not UTF-8"):
         read_table(path)
+
+
+#: form -> (file text, whether np.loadtxt parses its body); a form it does
+#: not parse is read by the per-cell loop alone
+_READ_FORMS = {
+    "underscore": ("a,b\n1_000,2\n", False),
+    "quoted number": ('a,b\n"2",3\n', False),
+    "blank cell": ("a,b\n1,\n2,3\n", False),
+    "full-width digit": ("a,b\n\uff12,3\n", False),
+    "padded": ("a,b\n 2 ,3\n-0.0,\t4\n", True),
+    "non-finite": ("a,b\nnan,1\n-inf,2\nInfinity,3\n1e400,4\n+.5,5\n", True),
+    "hash": ("a,b\n1#2,3\n", False),
+    "hash in the last cell": ("a,b\n1,2#3\n", False),
+    "hex": ("a,b\n0x10,3\n", False),
+    "trailing comma": ("a,b\n1,2,\n", False),
+    "whitespace-only line": ("a\n1\n   \n2\n", False),
+    "blank line": ("a,b\n1,2\n\n3,4\n", True),
+    "CRLF": ("a,b\r\n1,2\r\n3,4\r\n", True),
+    "byte-order mark": ("\ufeffa,b\n1,2\n", True),
+    "one column": ("a\n1\n2\n", True),
+    "header only": ("a,b\n", False),
+    "header and blank lines": ("a,b\n\n\r\n", False),
+    "ragged": ("a,b\n" + "1,2\n" * 50 + "3\n", False),  # np.loadtxt fails 50 rows in
+}
+
+
+def _read_outcome(path):
+    """read_table's result (rows by their bytes) or error, with every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            header, rows, dropped = read_table(path)
+            result = (header, rows.shape, rows.tobytes(), dropped)
+        except HarError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("form", _READ_FORMS)
+def test_read_fast_path_matches_cell_loop(tmp_path, monkeypatch, form):
+    text, parsed = _READ_FORMS[form]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast_bodies = []
+    loadtxt_body = data._loadtxt_body
+
+    def spy(fh, width):
+        rows = loadtxt_body(fh, width)
+        fast_bodies.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(data, "_loadtxt_body", spy)
+    fast = _read_outcome(path)
+    assert fast_bodies == [parsed]
+    monkeypatch.setattr(data, "_loadtxt_body", lambda fh, width: None)
+    assert fast == _read_outcome(path)
+    # the loop emits no numpy warning, so neither did np.loadtxt
+    assert all(category is UserWarning and "dropped" in message for category, message in fast[1])
+
+
+def test_write_table_array_bytes_match_csv_writer(tmp_path):
+    header = ["a", "b,c", 'q"x']
+    rows = np.array([
+        [-0.0, float("nan"), float("inf")],
+        [-float("inf"), 5e-324, 1e16],
+        [0.1 + 0.2, 1.0, -2.5],
+        *rng_from(3, "write").uniform(-1e3, 1e3, size=(2100, 3)),  # spans three 1024-row blocks
+    ])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows.tolist())
+    path = tmp_path / "w.csv"
+    write_table(path, header, rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert path.read_text().splitlines()[:3] == ['a,"b,c","q""x"', "-0.0,nan,inf", "-inf,5e-324,1e+16"]
 
 
 def test_target_selection(write_csv):

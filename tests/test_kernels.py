@@ -300,6 +300,51 @@ def test_gram_mirror_exact_across_block_columns(n):
         assert np.array_equal(g, cross_kernel_matrix(knots, knots, spec))
 
 
+def _sobolev_oracle(a, b):
+    """The defining product, cosh of each pair's min and 1 - max, in the
+    evaluator's multiply order."""
+    acc = np.ones((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        lo = np.minimum(a[:, j, None], b[None, :, j])
+        hi = np.maximum(a[:, j, None], b[None, :, j])
+        acc *= np.cosh(lo) * np.cosh(1.0 - hi)
+    return acc / math.sinh(1.0) ** a.shape[1]
+
+
+def _sobolev_points(m, p, key):
+    """m uniform points with cube corners and duplicate rows mixed in."""
+    x = rng_from(15, "kernels", "sobolev", key, m, p).uniform(size=(m, p))
+    x[::5, 0] = 0.0
+    x[1::5, -1] = 1.0
+    x[2::7] = x[0]
+    return x
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+def test_sobolev_blocked_matrices_equal_the_pairwise_product(n, p):
+    knots = DesignMatrix(_sobolev_points(n, p, "knots"))
+    test = DesignMatrix(_sobolev_points(70, p, "test"))
+    spec = KernelSpec.sobolev()
+    for threads in (1, 2):
+        assert np.array_equal(gram_matrix(knots, spec, threads=threads).values,
+                              _sobolev_oracle(knots.values, knots.values))
+        assert np.array_equal(cross_kernel_matrix(test, knots, spec, threads=threads),
+                              _sobolev_oracle(test.values, knots.values))
+
+
+def test_cosh_is_nondecreasing_on_the_unit_interval():
+    # the sobolev evaluator takes cosh(min(a, b)) as min(cosh a, cosh b), which
+    # holds only while numpy's cosh is monotone on [0, 1]
+    grid = np.concatenate([
+        np.linspace(0.0, 1.0, 2**20 + 1),
+        *(np.nextafter(x, 2.0) + np.arange(4096) * np.spacing(x) for x in (0.25, 0.5, 0.75)),
+    ])
+    grid.sort()
+    assert np.all(np.diff(np.cosh(grid)) >= 0.0)
+    assert np.all(np.diff(np.cosh(1.0 - grid)) <= 0.0)
+
+
 def test_cross_single_row_is_pointwise():
     rng = rng_from(12, "kernels", "cross-row")
     knots = DesignMatrix(rng.uniform(size=(5, 2)))
