@@ -102,7 +102,8 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     call rejects (a blank, quoted or otherwise unusual cell, a ragged row, no
     data line) is parsed cell by cell instead, and that loop alone decides
     every message.  Every cell `np.loadtxt` accepts, Python ``float`` parses
-    to the same value, so both give the same rows.
+    to the same value, so both give the same rows.  Either parser keeps
+    non-finite cells; one row filter after both drops and counts their rows.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -121,15 +122,13 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
             rows = _loadtxt_body(fh, len(header))
             if rows is None:
                 fh.seek(body)
-                rows, dropped = _parse_cells(path, header, reader)
-            else:
-                finite = np.isfinite(rows).all(axis=1)
-                dropped = rows.shape[0] - int(np.count_nonzero(finite))
-                if dropped:
-                    rows = rows[finite]
+                rows = _parse_cells(path, header, reader)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    finite = np.isfinite(rows).all(axis=1)
+    dropped = rows.shape[0] - int(np.count_nonzero(finite))
     if dropped:
+        rows = rows[finite]
         warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
     return header, rows, dropped
 
@@ -151,12 +150,12 @@ def _loadtxt_body(fh, width: int) -> np.ndarray | None:
     return rows if rows.shape[1] == width else None
 
 
-def _parse_cells(path, header: list, reader) -> tuple[np.ndarray, int]:
-    """(kept rows, dropped-row count) of the body, one cell at a time; the
-    owner of every body error message and line number."""
+def _parse_cells(path, header: list, reader) -> np.ndarray:
+    """The body's rows, one ``float`` call per cell, a row with a blank cell
+    as all NaN and other non-finite cells kept; the owner of every body error
+    message and line number."""
     width = len(header)
-    kept = []
-    dropped = 0
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue  # trailing blank line
@@ -164,29 +163,21 @@ def _parse_cells(path, header: list, reader) -> tuple[np.ndarray, int]:
             raise SchemaError(
                 f"{path}:{lineno}: expected {width} cells, got {len(row)}"
             )
-        parsed = np.empty(width)
-        missing = False
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if not text:
-                missing = True
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise NonNumericColumnError(
-                    f"{path}: column {header[j]!r} holds non-numeric value "
-                    f"{text!r} (row {lineno})"
-                ) from None
-            if not math.isfinite(value):
-                missing = True
-                continue
-            parsed[j] = value
-        if missing:
-            dropped += 1
-            continue
-        kept.append(parsed)
-    return (np.array(kept) if kept else np.empty((0, width))), dropped
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            # a cell is blank (the row is dropped) or not a number (the file is)
+            for name, cell in zip(header, row):
+                text = cell.strip()
+                try:
+                    float(text or "nan")
+                except ValueError:
+                    raise NonNumericColumnError(
+                        f"{path}: column {name!r} holds non-numeric value "
+                        f"{text!r} (row {lineno})"
+                    ) from None
+            rows.append([math.nan] * width)
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
 def write_table(path, header, rows) -> None:

@@ -195,12 +195,19 @@ class GramMatrix:
     """A kernel Gram matrix together with its provenance.
 
     ``knot_fingerprint`` ties the matrix to the DesignMatrix it was built
-    from, so downstream code can refuse mismatched (gram, knots) pairs.
+    from, so downstream code can refuse mismatched (gram, knots) pairs.  A
+    NaN or infinite entry (order-0 har can overflow float64 from p = 1023
+    on) is an InvalidInputError here, so no solver entry point that takes
+    a Gram ever hands one to LAPACK.
     """
 
     values: np.ndarray
     spec: KernelSpec
     knot_fingerprint: str
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise InvalidInputError(f"the {self.spec.family} Gram overflows float64: it has NaN or infinite entries")
 
     @property
     def n(self) -> int:
@@ -476,8 +483,9 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
 
 def _resolve_workers(threads: int | None) -> int:
     """The worker count: `threads`, an integer >= 0, where None and 0 mean
-    one per core."""
-    return (0 if threads is None else _check_int("threads", threads, 0)) or os.cpu_count() or 1
+    one per core this process may run on."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (0 if threads is None else _check_int("threads", threads, 0)) or usable or 1
 
 
 def _row_slices(m: int) -> list:

@@ -89,6 +89,36 @@ def test_predict_column_reorder_is_fine(train_csv, tmp_path, capsys):
     assert code == EXIT_OK and "rmse" in summary
 
 
+def test_predict_with_a_model_saved_without_column_names_matches_by_position(train_csv, tmp_path, capsys):
+    named = tmp_path / "named.json"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", str(named))
+    unnamed = tmp_path / "unnamed.json"
+    har.save_model(har.load_model(named)[0], unnamed)
+    with open(train_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    features = tmp_path / "features.csv"
+    features.write_text("x1,x2\n" + "".join(",".join(r[:2]) + "\n" for r in rows[1:]))
+    p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+    assert run_cli(capsys, "predict", "--model", str(named), "--data", str(train_csv), "--out", str(p1))[0] == EXIT_OK
+    code, summary, _ = run_cli(capsys, "predict", "--model", str(unnamed), "--data", str(features), "--out", str(p2))
+    assert code == EXIT_OK and summary["rows"] == 60
+    column = [[line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] for path in (p1, p2)]
+    assert column[0] == column[1]
+    code, summary, _ = run_cli(capsys, "predict", "--model", str(unnamed), "--data", train_csv, "--out", str(p2))
+    assert code == EXIT_RUNTIME and summary["error"]["type"] == "SchemaError"
+    assert "exactly its 2 feature columns, got 3" in summary["error"]["message"]
+
+
+def test_prediction_column_never_overwrites_an_input_column(train_csv, tmp_path, capsys):
+    model = str(tmp_path / "m.json")
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    data = tmp_path / "d.csv"
+    data.write_text("u,v,prediction\n0.5,0.5,7\n")
+    out = tmp_path / "p.csv"
+    assert run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))[0] == EXIT_OK
+    assert out.read_text().split("\n")[0] == "u,v,prediction,prediction_1"
+
+
 def test_predict_keeps_quoted_header_cells(tmp_path, capsys):
     # header cells holding a comma and a quote must be re-quoted on output
     data = tmp_path / "quoted.csv"
@@ -314,6 +344,21 @@ def test_config_key_a_command_does_not_read_is_rejected(tmp_path, capsys):
     code, summary, _ = run_cli(capsys, "convergence", "--config", str(cfg))
     assert code == EXIT_USAGE
     assert summary["error"]["type"] == "UsageError" and "'kernel'" in summary["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "content, said", [(None, "not found"), ("[5]", "must hold a JSON object")], ids=["missing", "list"]
+)
+def test_config_file_missing_or_not_an_object_is_a_usage_error(train_csv, tmp_path, capsys, content, said):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, summary, _ = run_cli(
+        capsys, "fit", "--config", str(cfg), "--data", train_csv, "--out", str(tmp_path / "m.json"),
+    )
+    assert code == EXIT_USAGE
+    assert summary["error"]["type"] == "UsageError" and said in summary["error"]["message"]
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_config_key_naming_another_config_file_is_rejected(train_csv, tmp_path, capsys):

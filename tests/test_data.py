@@ -84,6 +84,23 @@ def test_blank_cell_drops_row_with_warning(write_csv):
     assert ds.n == 2 and ds.n_dropped == 1
 
 
+def test_cell_loop_drops_blank_and_non_finite_rows_in_one_warning(write_csv, monkeypatch):
+    path = write_csv("mixed.csv", ["a", "y"], [[1, 2], ["", 4], ["nan", 5], [6, "inf"], [7, 8]])
+    bodies = []
+    loadtxt_body = data._loadtxt_body
+
+    def spy(fh, width):
+        bodies.append(loadtxt_body(fh, width))
+        return bodies[-1]
+
+    monkeypatch.setattr(data, "_loadtxt_body", spy)
+    with pytest.warns(UserWarning) as caught:
+        header, rows, dropped = read_table(path)
+    assert [body is None for body in bodies] == [True]  # the blank cell sends the body to the loop
+    assert [str(w.message) for w in caught] == [f"{path}: dropped 3 rows with missing or non-finite cells"]
+    assert dropped == 3 and rows.tolist() == [[1.0, 2.0], [7.0, 8.0]]
+
+
 def test_non_finite_cell_drops_row(write_csv):
     path = write_csv("inf.csv", ["a", "y"], [[1, 2], ["inf", 4], ["nan", 5]])
     with pytest.warns(UserWarning):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from har import kernels
 from har.data import rng_from
 from har.exceptions import (
     DimensionMismatchError,
@@ -393,6 +394,16 @@ def test_negative_workers_rejected():
     knots = DesignMatrix(np.array([[0.5]]))
     with pytest.raises(InvalidParameterError):
         gram_matrix(knots, KernelSpec.har(0), threads=-2)
+
+
+def test_default_workers_follow_usable_cores(monkeypatch):
+    # one worker per core the process may run on, not per core the host has
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert kernels._resolve_workers(None) == kernels._resolve_workers(0) == 1
+    assert kernels._resolve_workers(3) == 3
+    monkeypatch.delattr(kernels.os, "sched_getaffinity")
+    assert kernels._resolve_workers(None) == 8
 
 
 def test_wide_p_gram_consistent_with_pointwise():

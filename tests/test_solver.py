@@ -486,11 +486,28 @@ def test_monotone_shrinkage_over_grid():
 
 
 def test_tune_rejects_a_gram_that_overflows():
-    # 2**1100 per knot overflows float64; eigh must never see the infinities
+    # 2**1100 per knot overflows float64; LAPACK must never see the infinities
     knots = DesignMatrix(np.full((3, 1100), 0.5))
+    for call in (
+        lambda: gram_matrix(knots, T0),
+        lambda: fit(knots, [1.0, 2.0, 3.0], T0, 0.5),
+        lambda: tune(knots, [1.0, 2.0, 3.0], "har"),
+    ):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hand_built_gram_with_a_non_finite_entry_is_rejected(bad):
+    # the only way loocv_errors and lambda_max could be handed such a Gram
     with pytest.raises(InvalidInputError, match="overflows"):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            tune(knots, [1.0, 2.0, 3.0], "har")
+        _gram_of([[1.0, bad], [bad, 1.0]])
+
+
+def test_loo_reports_the_lambda_at_which_the_system_is_singular():
+    with pytest.raises(SingularSystemError, match="lambda=1"):
+        loocv_errors(_gram_of([[-2.0]]), [1.0], 1.0)
 
 
 def test_tune_unknown_family():
@@ -605,6 +622,9 @@ def test_model_file_version_and_keys(tmp_path):
             load_model(bad)
     bad.write_text("not json{")
     with pytest.raises(SchemaError):
+        load_model(bad)
+    bad.write_text(json.dumps([doc]))
+    with pytest.raises(SchemaError, match="JSON object"):
         load_model(bad)
 
 
