@@ -151,9 +151,9 @@ def _loadtxt_body(fh, width: int) -> np.ndarray | None:
 
 
 def _parse_cells(path, header: list, reader) -> np.ndarray:
-    """The body's rows, one ``float`` call per cell, a row with a blank cell
-    as all NaN and other non-finite cells kept; the owner of every body error
-    message and line number."""
+    """The body's rows, one ``float`` call per cell, a blank cell as NaN and
+    other non-finite cells kept; the owner of every body error message and
+    line number."""
     width = len(header)
     rows = []
     for lineno, row in enumerate(reader, start=2):
@@ -163,21 +163,18 @@ def _parse_cells(path, header: list, reader) -> np.ndarray:
             raise SchemaError(
                 f"{path}:{lineno}: expected {width} cells, got {len(row)}"
             )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            # a cell is blank (the row is dropped) or not a number (the file is)
-            for name, cell in zip(header, row):
-                text = cell.strip()
-                try:
-                    float(text or "nan")
-                except ValueError:
-                    raise NonNumericColumnError(
-                        f"{path}: column {name!r} holds non-numeric value "
-                        f"{text!r} (row {lineno})"
-                    ) from None
-            rows.append([math.nan] * width)
-    return np.array(rows, dtype=np.float64).reshape(-1, width)
+        values = []
+        for name, cell in zip(header, row):
+            text = cell.strip()
+            try:
+                values.append(float(text or "nan"))
+            except ValueError:
+                raise NonNumericColumnError(
+                    f"{path}: column {name!r} holds non-numeric value "
+                    f"{text!r} (row {lineno})"
+                ) from None
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def write_table(path, header, rows) -> None:

@@ -79,6 +79,7 @@ from .exceptions import (
     _as_vector,
     _check_int,
     _check_real,
+    _frozen_finite,
 )
 
 FAMILY_HAR = "har"
@@ -206,8 +207,7 @@ class GramMatrix:
     knot_fingerprint: str
 
     def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise InvalidInputError(f"the {self.spec.family} Gram overflows float64: it has NaN or infinite entries")
+        _frozen_finite(self.values, f"the {self.spec.family} Gram (overflows float64)")
 
     @property
     def n(self) -> int:
@@ -536,7 +536,6 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
 
     _run_blocks(work, _row_slices(n), threads)
     _mirror_upper(K)
-    K.setflags(write=False)
     return GramMatrix(values=K, spec=spec, knot_fingerprint=knots.fingerprint)
 
 
