@@ -231,9 +231,7 @@ def cmd_fit(cfg: dict) -> dict:
         "n": dataset.n,
         "p": dataset.p,
         "dropped_rows": dataset.n_dropped,
-        "kernel": model.spec.to_dict(),
-        "lambda": model.lam,
-        "loocv_score": float(result.scores[result.selected]),
+        **result.choice(),
         "train_rmse": train_rmse,
         "model": str(cfg["out"]),
     }

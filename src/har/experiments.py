@@ -174,11 +174,7 @@ def run_demo(
             scaling=scaling, threads=threads,
         )
         predictions[family] = predict(model, grid_scaled, threads=threads)
-        chosen[family] = {
-            "kernel": model.spec.to_dict(),
-            "lambda": model.lam,
-            "loocv_score": float(result.scores[result.selected]),
-        }
+        chosen[family] = result.choice()
     config = {
         "operation": "demo",
         "seed": int(seed),

@@ -15,7 +15,8 @@ one Gram matrix per kernel candidate:
   brackets everything from near-interpolation to near-zero;
 
 * a geometric grid over that interval scored by mean squared leave-one-out
-  residual, ties broken toward the larger lambda.
+  residual; the lowest score wins, ties to the larger lambda, then to the
+  earlier candidate, a rule `_best` alone applies.
 
 `tune` factors each Gram once, K = V diag(w) V^T: eigmin(K) = w[0] sets
 lambda0, two matrix products give alpha and the inverse diagonal at every
@@ -118,6 +119,7 @@ def fit(
     A = np.array(gram.values, copy=True)
     A[np.diag_indices_from(A)] += lam
     try:
+        # scipy's finiteness check stays: K + lambda I can overflow where K did not
         factor = cho_factor(A, lower=True)
     except LinAlgError:
         raise SingularSystemError(f"K + lambda I is not positive definite at lambda={lam:g}") from None
@@ -154,13 +156,10 @@ def _loo_grid(w: np.ndarray, V: np.ndarray, y: np.ndarray, grid: np.ndarray):
 
     Squares V in place once alpha is formed, sparing an n x n temporary.
     """
-    shifted = w[:, None] + grid
-    singular = np.any(shifted <= 0.0, axis=0)
-    if singular.any():
-        raise SingularSystemError(
-            f"K + lambda I is not positive definite at lambda={grid[singular][0]:g}"
-        )
-    inv = 1.0 / shifted
+    # w and grid ascend, so if any lambda is singular, grid[0] is
+    if w[0] + grid[0] <= 0.0:
+        raise SingularSystemError(f"K + lambda I is not positive definite at lambda={grid[0]:g}")
+    inv = 1.0 / (w[:, None] + grid)
     alpha = V @ ((V.T @ y)[:, None] * inv)
     inv_diag = np.square(V, out=V) @ inv
     return alpha, alpha / inv_diag
@@ -174,7 +173,7 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
     """
     yv = _as_vector(y, gram.n, "y", "the Gram")
     lam = _check_real("lambda", lam, 0.0, ends="()")
-    w, V = eigh(gram.values, driver="evd")
+    w, V = eigh(gram.values, driver="evd", check_finite=False)
     return _loo_grid(w, V, yv, np.array([lam]))[1][:, 0]
 
 
@@ -217,7 +216,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     """
     check_tuning(epsilon)
     factor = _bound_factor(_as_vector(y, gram.n, "y", "the Gram"), epsilon)
-    eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0])[0]
+    eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
 
@@ -247,6 +246,17 @@ class TuningResult:
     def winner(self) -> tuple:
         return self.candidates[self.selected]
 
+    def choice(self) -> dict:
+        """The winner's record: its kernel, lambda and leave-one-out score."""
+        spec, lam = self.winner
+        return {"kernel": spec.to_dict(), "lambda": lam, "loocv_score": float(self.scores[self.selected])}
+
+
+def _best(scores, lams) -> int:
+    """The one selection rule: the lowest score, ties to the larger lambda,
+    then to the earlier candidate."""
+    return int(np.lexsort((np.negative(lams), scores))[0])
+
 
 def _family_specs(family: str, order: int) -> list:
     if family == FAMILY_RBF:
@@ -269,7 +279,7 @@ def tune(
 
     har/sobolev build one Gram matrix; rbf loops its fixed bandwidth ladder,
     recomputing lambda0 per bandwidth.  Scores are mean squared leave-one-out
-    residuals; ties break toward the larger lambda.  Returns the scored grid
+    residuals, and `_best` picks the winner.  Returns the scored grid
     and the model at the winner, whose alpha comes from the same
     eigendecomposition that scored it.  A grid_count of 1 scores only
     lambda0 itself (see `lambda_grid`).
@@ -281,7 +291,7 @@ def tune(
 
     candidates = []
     scores = []
-    best = None  # (index, score, lam, alpha)
+    kept = []  # each spec's winning alpha, so no (n, G) block outlives its pass
     for spec in specs:
         # tune holds the only reference to this Gram, so eigh may overwrite
         # it; K.T is the same symmetric matrix in the column order LAPACK
@@ -293,29 +303,17 @@ def tune(
         lam0 = _lambda0(row_norm, factor, float(w[0]))
         grid = lambda_grid(lam0, grid_count)
         alphas, errors = _loo_grid(w, V, yv, grid)
-        for j, lam in enumerate(grid):
-            score = float(np.mean(errors[:, j] ** 2))
-            index = len(candidates)
-            candidates.append((spec, float(lam)))
-            scores.append(score)
-            if (
-                best is None
-                or score < best[1]
-                or (score == best[1] and float(lam) > best[2])
-            ):
-                best = (index, score, float(lam), alphas[:, j])
+        spec_scores = [float(np.mean(errors[:, j] ** 2)) for j in range(grid_count)]
+        kept.append(alphas[:, _best(spec_scores, grid)].copy())
+        candidates.extend((spec, float(lam)) for lam in grid)
+        scores.extend(spec_scores)
 
-    result = TuningResult(
-        candidates=tuple(candidates),
-        scores=np.array(scores),
-        selected=best[0],
-    )
+    # the overall winner is its own spec's winner under the same order
+    selected = _best(scores, [lam for _, lam in candidates])
+    result = TuningResult(candidates=tuple(candidates), scores=np.array(scores), selected=selected)
     spec_sel, lam_sel = result.winner
     model = FittedModel(
-        knots=knots,
-        spec=spec_sel,
-        lam=lam_sel,
-        alpha=best[3],
+        knots=knots, spec=spec_sel, lam=lam_sel, alpha=kept[selected // grid_count],
         scaling=ScalingParams.identity(knots.p) if scaling is None else scaling,
     )
     return result, model

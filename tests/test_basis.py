@@ -10,7 +10,7 @@ from har.basis import (
     explicit_ridge_fit,
 )
 from har.data import rng_from
-from har.exceptions import InvalidParameterError, UnsupportedSizeError
+from har.exceptions import DimensionMismatchError, InvalidParameterError, UnsupportedSizeError
 from har.kernels import DesignMatrix, KernelSpec, har_kernel
 from har.solver import fit, predict
 
@@ -87,6 +87,9 @@ def test_scale_guard():
         expand(rng.uniform(size=2), DesignMatrix(rng.uniform(size=(2, 2))), 3)
     with pytest.raises(InvalidParameterError):
         expand(rng.uniform(size=2), DesignMatrix(rng.uniform(size=(2, 2))), -1)
+    # inside the expansion's own limits, but d = 11664 is past the ridge solve's
+    with pytest.raises(UnsupportedSizeError, match="d=11664"):
+        explicit_ridge_fit(DesignMatrix(rng.uniform(size=(16, 6))), np.zeros(16), 1, 1.0)
 
 
 def test_oracle_identity_spot():
@@ -110,6 +113,8 @@ def test_expansion_matrix_rows():
     assert H.shape == (4, basis_dimension(3, 2, 1))
     for i in range(4):
         assert np.array_equal(H[i], expand(points.values[i], knots, 1).values)
+    with pytest.raises(DimensionMismatchError):
+        expansion_matrix(DesignMatrix(rng.uniform(size=(4, 3))), knots, 1)
 
 
 def test_explicit_ridge_requires_positive_lambda():

@@ -43,6 +43,7 @@ def _convergence(**bad):
 #: entry point -> (call with the value under test, off-type and out-of-range values)
 ENTRY_POINTS = {
     "rng_from.seed": (rng_from, ["0", True, 0.0, -1]),
+    "rng_from.key": (lambda v: rng_from(0, v), [1.5, True, None]),
     "SplitSpec.train_fraction": (lambda v: SplitSpec(train_fraction=v), ["0.5", True, 0.0, 1.0, float("nan")]),
     "split_dataset.max_rows": (lambda v: split_dataset(DATASET, SplitSpec(max_rows=v)), [5.5, "5", True, 1]),
     "KernelSpec.order": (KernelSpec.har, ["1", True, 1.0, -1, 13]),

@@ -446,6 +446,19 @@ def test_value_off_its_owners_rule_is_a_usage_error_before_any_file_is_read(
     assert not Path("out.csv").exists() and "Traceback" not in err
 
 
+def test_fit_threads_change_only_the_recorded_config(train_csv, tmp_path, capsys):
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.json"
+        code, _, _ = run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--threads", threads, "--out", str(out))
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["metadata"]["config"].pop("threads") == int(threads)
+        del doc["metadata"]["config"]["out"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_threads_env_fallback(train_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HAR_THREADS", "not-a-number")
     code, summary, _ = run_cli(
@@ -497,6 +510,9 @@ def test_simulate_derives_json_path(tmp_path, capsys):
     assert code == EXIT_OK
     assert summary["out_json"] == str(tmp_path / "demo.json")
     assert (tmp_path / "demo.json").exists()
+    # a .json --out keeps its name for the table, so the record takes a longer one
+    code, summary, _ = run_cli(capsys, "simulate", "--seed", "1", "--grid", "5", "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_OK and summary["out_json"] == str(tmp_path / "r.json.config.json")
 
 
 def test_convergence_subcommand(tmp_path, capsys):

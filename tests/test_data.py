@@ -253,6 +253,8 @@ def test_min_max_scaling_example():
     # out-of-range test values clamp into the cube
     assert apply_scaling(np.array([[8.0]]), params)[0, 0] == 1.0
     assert apply_scaling(np.array([[-3.0]]), params)[0, 0] == 0.0
+    with pytest.raises(DimensionMismatchError, match="scaling has p=1"):
+        apply_scaling(np.array([[2.0, 4.0]]), params)
 
 
 def test_constant_feature_maps_to_half():
@@ -332,3 +334,5 @@ def test_rmse_examples():
     assert rmse([5.0, 6.0, 7.0], [3.0, 4.0, 5.0]) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DimensionMismatchError):
         rmse([1.0], [1.0, 2.0])
+    with pytest.raises(InvalidInputError, match="empty"):
+        rmse([], [])

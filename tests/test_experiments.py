@@ -163,6 +163,8 @@ def test_convergence_validation():
             rows=(ConvergenceRow(10, 0.1, 1.0, 0.1), ConvergenceRow(10, 0.1, 1.0, 0.1)),
             config={},
         )
+    with pytest.raises(InvalidInputError, match="non-finite report value at n=10"):
+        ConvergenceReport(rows=(ConvergenceRow(10, math.nan, 1.0, math.nan),), config={})
 
 
 def test_convergence_rejects_n_below_two():

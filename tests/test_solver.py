@@ -25,6 +25,7 @@ from har.kernels import (
 from har.solver import (
     RBF_BANDWIDTHS,
     FittedModel,
+    _loo_grid,
     fit,
     lambda_grid,
     lambda_max,
@@ -387,6 +388,9 @@ def test_tune_selects_minimum_and_refits():
     assert result.scores[result.selected] == result.scores.min()
     assert model.lam == result.winner[1]
     assert model.spec == result.winner[0]
+    assert result.choice() == {
+        "kernel": model.spec.to_dict(), "lambda": model.lam, "loocv_score": result.scores[result.selected]
+    }
 
 
 @pytest.mark.parametrize(
@@ -418,6 +422,14 @@ def test_tune_rbf_scans_bandwidths():
     assert len(RBF_BANDWIDTHS) == 13
     assert RBF_BANDWIDTHS[0] == pytest.approx(1e-3) and RBF_BANDWIDTHS[-1] == pytest.approx(10.0)
     assert model.spec.family == "rbf" and model.spec.bandwidth in RBF_BANDWIDTHS
+
+
+def test_tune_tie_across_specs_goes_to_the_largest_lambda_of_the_first_spec():
+    # one knot: every bandwidth has K = [[1]], the same grid and the same score
+    result, model = tune(DesignMatrix([[0.5]]), [2.0], "rbf", grid_count=3)
+    assert len(set(result.scores.tolist())) == 1
+    assert result.selected == 2
+    assert model.spec == KernelSpec.rbf(RBF_BANDWIDTHS[0]) and model.lam == result.candidates[2][1]
 
 
 def test_tune_degenerate_grid():
@@ -508,6 +520,12 @@ def test_hand_built_gram_with_a_non_finite_entry_is_rejected(bad):
 def test_loo_reports_the_lambda_at_which_the_system_is_singular():
     with pytest.raises(SingularSystemError, match="lambda=1"):
         loocv_errors(_gram_of([[-2.0]]), [1.0], 1.0)
+
+
+def test_loo_names_the_first_singular_lambda_of_a_partly_singular_grid():
+    # lambda = 1 and 2 leave K + lambda I singular, lambda = 3 does not
+    with pytest.raises(SingularSystemError, match="at lambda=1$"):
+        _loo_grid(np.array([-2.0, 1.0]), np.eye(2), np.ones(2), np.array([1.0, 2.0, 3.0]))
 
 
 def test_tune_unknown_family():
@@ -650,6 +668,13 @@ def test_malformed_model_file_raises_schema_error_naming_key(key, value):
         model_from_dict(json.loads(json.dumps(doc)))
 
 
+def test_model_file_with_an_unknown_kernel_family_keeps_its_error_class():
+    doc = model_to_dict(fit(DesignMatrix(np.array([[0.5], [0.7]])), [1.0, 2.0], T0, 0.5))
+    doc["kernel"] = {"family": "cubic"}
+    with pytest.raises(InvalidParameterError):
+        model_from_dict(doc)
+
+
 def test_model_validation():
     knots = DesignMatrix(np.array([[0.5]]))
     with pytest.raises(DimensionMismatchError):
@@ -657,3 +682,5 @@ def test_model_validation():
             knots=knots, spec=T0, lam=1.0, alpha=np.array([1.0, 2.0]),
             scaling=ScalingParams.identity(1),
         )
+    with pytest.raises(DimensionMismatchError, match="scaling has p=2"):
+        FittedModel(knots=knots, spec=T0, lam=1.0, alpha=np.array([1.0]), scaling=ScalingParams.identity(2))
