@@ -554,21 +554,29 @@ def _order0_table(knot_vals: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     k, and a per-bit doubling transform turns the bucket sums into W, so
     sum_b alpha_b k0(x, X_b) = sum_k W[k, mask(x, k)]: an exact reordering
     of the defining double sum (kernel values are integer powers of two).
+    W is filled and transformed one `_row_slices` block of anchors at a
+    time, so the build holds the table plus one half-block of scratch.
     """
     n, p = knot_vals.shape
     size = 1 << p
     # one mask word holds all p bits: the table cap keeps p far below 64
     knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]  # (b, k)
     W = np.empty((n, size))
-    for k in range(n):
-        W[k] = np.bincount(knot_masks[:, k], weights=alpha, minlength=size)
-    for bit in range(p):
-        W = W.reshape(n, -1, 2, 1 << bit)
-        v0 = W[:, :, 0, :].copy()
-        v1 = W[:, :, 1, :]
-        W[:, :, 0, :] = v0 + v1
-        W[:, :, 1, :] = v0 + 2.0 * v1
-    return W.reshape(n, size)
+    scratch = np.empty(_ROW_BLOCK * size // 2)
+    for rows in _row_slices(n):
+        for k in range(rows.start, rows.stop):
+            W[k] = np.bincount(knot_masks[:, k], weights=alpha, minlength=size)
+        block = W[rows]
+        for bit in range(p):
+            pairs = block.reshape(block.shape[0], -1, 2, 1 << bit)
+            v0 = pairs[:, :, 0, :]
+            v1 = pairs[:, :, 1, :]
+            low = scratch[: v0.size].reshape(v0.shape)
+            np.copyto(low, v0)
+            np.add(low, v1, out=v0)  # v0 + v1
+            np.multiply(v1, 2.0, out=v1)
+            np.add(low, v1, out=v1)  # v0 + 2.0 * v1
+    return W
 
 
 def _cross_row_blocks(

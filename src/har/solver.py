@@ -24,6 +24,9 @@ grid point, and the winner's alpha is its column of that product, so no
 second factorization is made.  `fit`, for an explicit lambda, makes one
 Cholesky factorization of K + lambda I and raises SingularSystemError if
 it fails, so a model's alpha always solves the lambda it records.
+
+scipy.linalg is imported on the first factorization only, so `import har`
+and `predict` load numpy alone.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 from .data import ScalingParams, write_json
 from .exceptions import (
@@ -67,6 +70,28 @@ RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
 
 #: a model's lambda rule, for `fit` before it builds a Gram and for every `FittedModel`
 _check_model_lambda = partial(_check_real, "lambda", low=0.0)
+
+
+# scipy.linalg's factorizations, imported on their first call; they stay
+# names of this module, where callers and the benchmark's tracer look them up
+
+
+def eigh(*args, **kwargs):
+    from scipy.linalg import eigh
+
+    return eigh(*args, **kwargs)
+
+
+def cho_factor(*args, **kwargs):
+    from scipy.linalg import cho_factor
+
+    return cho_factor(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    from scipy.linalg import cho_solve
+
+    return cho_solve(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)

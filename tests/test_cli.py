@@ -616,3 +616,31 @@ def test_python_dash_m_runs_the_cli(train_csv, tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["command"] == "fit"
     assert json.loads(model.read_text())["metadata"]["target_name"] == "target"
+
+
+def _fresh_interpreter(code: str) -> list:
+    """Run ``code`` in a new interpreter that finds this package; its last
+    stdout line, parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(har.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADS_SCIPY_LINALG = "import json, sys; print(json.dumps('scipy.linalg' in sys.modules))"
+
+
+def test_import_har_loads_no_scipy_linalg():
+    assert _fresh_interpreter("import har\n" + _LOADS_SCIPY_LINALG) is False
+
+
+def test_predict_loads_no_scipy_linalg_and_fit_does(train_csv, tmp_path, capsys):
+    model, preds = str(tmp_path / "m.json"), str(tmp_path / "p.csv")
+    code, summary, _ = run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    assert code == EXIT_OK and summary["kernel"] == {"family": "har", "order": 0, "bandwidth": None}
+    run = "import json, sys; from har.cli import main; print(json.dumps([main({argv!r}), 'scipy.linalg' in sys.modules]))"
+    predict = ["predict", "--model", model, "--data", train_csv, "--out", preds]
+    assert _fresh_interpreter(run.format(argv=predict)) == [EXIT_OK, False]
+    # the import is deferred to the first factorization, not lost
+    refit = ["fit", "--data", train_csv, "--grid", "5", "--out", str(tmp_path / "m2.json")]
+    assert _fresh_interpreter(run.format(argv=refit)) == [EXIT_OK, True]

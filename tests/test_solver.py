@@ -18,9 +18,11 @@ from har.kernels import (
     DesignMatrix,
     GramMatrix,
     KernelSpec,
+    _order0_table,
     _use_contraction,
     cross_kernel_matrix,
     gram_matrix,
+    membership_masks,
 )
 from har.solver import (
     RBF_BANDWIDTHS,
@@ -224,6 +226,49 @@ def test_order0_table_predict_peak_below_knot_square():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def _whole_table_reference(knot_vals, alpha):
+    # the whole-table doubling transform the blocked build replaced
+    n, p = knot_vals.shape
+    size = 1 << p
+    knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]
+    W = np.empty((n, size))
+    for k in range(n):
+        W[k] = np.bincount(knot_masks[:, k], weights=alpha, minlength=size)
+    for bit in range(p):
+        W = W.reshape(n, -1, 2, 1 << bit)
+        v0 = W[:, :, 0, :].copy()
+        v1 = W[:, :, 1, :]
+        W[:, :, 0, :] = v0 + v1
+        W[:, :, 1, :] = v0 + 2.0 * v1
+    return W.reshape(n, size)
+
+
+@pytest.mark.parametrize("p", [1, 5, 10])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+def test_order0_table_blocks_equal_the_whole_table_transform(n, p):
+    # 31, 33 and 100 anchors end in a partial anchor block
+    rng = rng_from(43, "solver", "table-blocks", n, p)
+    knots = rng.uniform(size=(n, p))
+    alpha = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    assert np.array_equal(_order0_table(knots, alpha), _whole_table_reference(knots, alpha))
+
+
+def test_order0_table_build_holds_the_table_masks_and_one_block():
+    rng = rng_from(44, "solver", "table-build-memory")
+    n, p = 800, 10
+    knots = rng.uniform(size=(n, p))
+    alpha = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        _order0_table(knots, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = n * (1 << p) * 8
+    mask_bytes = n * n * np.min_scalar_type(1 << p).itemsize
+    assert peak < table_bytes + mask_bytes + 2 * 2**20
 
 
 # p=3 fits the order-0 table, p=25 at n=10 does not
