@@ -222,11 +222,34 @@ class ConvergenceReport:
         return [f.name for f in fields(ConvergenceRow)], [astuple(row) for row in self.rows]
 
     def document(self) -> dict:
-        """The JSON twin: the run's record, the rows, every replication's RMSE."""
+        """The JSON twin: the run's record, the rows, every replication's RMSE
+        and the rate they show.
+
+        ``rate`` holds the least-squares slope of log mean RMSE on log n and
+        the min, median and max of the same slope per replication, next to
+        the paper's exponent -1/3.  A slope needs two sizes, and the
+        per-replication summary the replication table too; a missing one is
+        None (JSON null).
+        """
+        log_n = np.log([row.n for row in self.rows])
+        slope = replication_slopes = None
+        if len(self.rows) >= 2:
+            slope = float(np.polyfit(log_n, np.log([row.mean_rmse for row in self.rows]), 1)[0])
+            if self.rmse_table:
+                by_replication = np.transpose([self.rmse_table[str(row.n)] for row in self.rows])
+                slopes = [np.polyfit(log_n, np.log(rmses), 1)[0] for rmses in by_replication]
+                replication_slopes = {
+                    "min": float(np.min(slopes)), "median": float(np.median(slopes)), "max": float(np.max(slopes)),
+                }
         return {
             "config": self.config,
             "rows": [asdict(row) for row in self.rows],
             "rmse_by_replication": self.rmse_table,
+            "rate": {
+                "slope": slope,
+                "replication_slopes": replication_slopes,
+                "reference_exponent": -1 / 3,
+            },
         }
 
 

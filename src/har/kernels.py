@@ -46,8 +46,9 @@ Three kernel families share one interface:
 
 * ``rbf`` -- the Gaussian kernel ``exp(-||x - x'||^2 / (2 * bandwidth^2))``.
 
-Gram matrices are assembled from fixed row blocks of the upper triangle and
-mirrored in one sequential pass.  Everything between test rows and knots
+Gram matrices are assembled from fixed row blocks: each block writes its
+rows of the upper triangle and their mirror below the diagonal, so no
+sequential pass follows.  Everything between test rows and knots
 goes through one private row-block driver, `_cross_row_blocks`: it checks
 the widths and the unit cube once, splits the test rows into the same fixed
 ``_ROW_BLOCK``-row blocks and sets each block's rows of its output with one
@@ -102,8 +103,6 @@ _TILE_ROWS = 8
 _TILE_COLS = 32
 # order-0 prediction gathers from a table of n * 2^p floats when it fits
 _TABLE_BYTES_CAP = 200 * 2**20
-# column width of the transposed copy that mirrors a Gram's upper triangle
-_MIRROR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -505,24 +504,15 @@ def _run_blocks(work, blocks, threads: int | None) -> None:
             pass
 
 
-def _mirror_upper(K: np.ndarray) -> None:
-    """Copy the strict upper triangle of square K onto the lower one, a
-    block column at a time, so no n^2 index arrays are built."""
-    n = K.shape[0]
-    below = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
-    for c0 in range(0, n, _MIRROR_BLOCK):
-        c1 = min(c0 + _MIRROR_BLOCK, n)
-        K[c1:, c0:c1] = K[c0:c1, c1:].T
-        diag = K[c0:c1, c0:c1]
-        np.copyto(diag, diag.T, where=below[: c1 - c0, : c1 - c0])
-
-
 def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = None) -> GramMatrix:
     """Kernel matrix of the knots against themselves.
 
-    Only the upper triangle is computed (in fixed row blocks, optionally in
-    parallel); the lower triangle is mirrored in a sequential pass, so the
-    result is exactly symmetric and bit-identical for any worker count.
+    Only the upper triangle is computed, in fixed row blocks, optionally in
+    parallel.  Each block writes its upper rows, their transpose into the
+    columns below it, and the strict upper part of its diagonal square onto
+    the lower part, so no other block writes those columns, no sequential
+    pass follows, and the result is exactly symmetric and bit-identical for
+    any worker count.
     """
     vals = knots.values
     if _needs_cube(spec):
@@ -533,9 +523,11 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
 
     def work(rows: slice):
         K[rows, rows.start : n] = evaluate(rows, slice(rows.start, n))
+        K[rows.stop :, rows] = K[rows, rows.stop :].T
+        square = K[rows, rows]
+        np.copyto(square, square.T, where=np.tri(square.shape[0], k=-1, dtype=bool))
 
     _run_blocks(work, _row_slices(n), threads)
-    _mirror_upper(K)
     return GramMatrix(values=K, spec=spec, knot_fingerprint=knots.fingerprint)
 
 
@@ -555,17 +547,18 @@ def _order0_table(knot_vals: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     sum_b alpha_b k0(x, X_b) = sum_k W[k, mask(x, k)]: an exact reordering
     of the defining double sum (kernel values are integer powers of two).
     W is filled and transformed one `_row_slices` block of anchors at a
-    time, so the build holds the table plus one half-block of scratch.
+    time, each block building its own masks, so the build holds the table,
+    one anchor block of masks and one half-block of scratch.
     """
     n, p = knot_vals.shape
     size = 1 << p
-    # one mask word holds all p bits: the table cap keeps p far below 64
-    knot_masks = membership_masks(knot_vals, knot_vals)[:, :, 0]  # (b, k)
     W = np.empty((n, size))
     scratch = np.empty(_ROW_BLOCK * size // 2)
     for rows in _row_slices(n):
-        for k in range(rows.start, rows.stop):
-            W[k] = np.bincount(knot_masks[:, k], weights=alpha, minlength=size)
+        # one mask word holds all p bits: the table cap keeps p far below 64
+        masks = membership_masks(knot_vals, knot_vals[rows])[:, :, 0].T  # (k, b)
+        for k, row_masks in enumerate(masks, rows.start):
+            W[k] = np.bincount(row_masks, weights=alpha, minlength=size)
         block = W[rows]
         for bit in range(p):
             pairs = block.reshape(block.shape[0], -1, 2, 1 << bit)
@@ -605,12 +598,12 @@ def _cross_row_blocks(
         _require_unit_cube(knots.values, "knots")
         _require_unit_cube(test.values, "test points")
     if alpha is not None and _use_contraction(spec, knots):
-        table = _order0_table(knots.values, alpha)
-        anchors = np.arange(knots.n)
+        table = _order0_table(knots.values, alpha).reshape(-1)
+        starts = np.arange(knots.n) << knots.p  # row k of the table, flat
 
         def block(rows: slice) -> np.ndarray:
             masks = membership_masks(test.values[rows], knots.values)[:, :, 0]
-            return table[anchors, masks].sum(axis=1)
+            return table[masks + starts].sum(axis=1)
 
     else:
         evaluate = _block_evaluator(spec, knots.values, test.values)

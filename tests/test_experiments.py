@@ -145,6 +145,32 @@ def test_convergence_report_shape_and_writers(tmp_path):
     assert len(doc["rmse_by_replication"]["20"]) == 2
 
 
+def test_convergence_rate_block_is_the_least_squares_slope():
+    rep = run_convergence(4, n_values=(20, 40, 80), replications=3, test_size=100, grid_count=5)
+    rate = rep.document()["rate"]
+    log_n = np.log([20, 40, 80])
+    mean = np.log([row.mean_rmse for row in rep.rows])
+    assert rate["slope"] == float(np.polyfit(log_n, mean, 1)[0])
+    slopes = [
+        float(np.polyfit(log_n, np.log([rep.rmse_table[str(n)][r] for n in (20, 40, 80)]), 1)[0])
+        for r in range(3)
+    ]
+    assert rate["replication_slopes"] == {
+        "min": min(slopes), "median": sorted(slopes)[1], "max": max(slopes),
+    }
+    assert rate["reference_exponent"] == -1 / 3
+    no_table = ConvergenceReport(rows=rep.rows, config={}).document()["rate"]
+    assert no_table["slope"] == rate["slope"] and no_table["replication_slopes"] is None
+
+
+def test_convergence_rate_block_null_at_one_size(tmp_path):
+    rep = run_convergence(2, n_values=(15,), replications=2, test_size=10, grid_count=3)
+    json_path = tmp_path / "c.json"
+    write_json(json_path, rep.document())
+    rate = json.loads(json_path.read_text())["rate"]
+    assert rate == {"slope": None, "replication_slopes": None, "reference_exponent": -1 / 3}
+
+
 def test_convergence_deterministic(tmp_path):
     r1 = run_convergence(4, n_values=(20, 40), replications=2, test_size=100, grid_count=5)
     r2 = run_convergence(4, n_values=(20, 40), replications=2, test_size=100, grid_count=5)

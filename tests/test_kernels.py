@@ -291,14 +291,17 @@ def test_cross_equals_gram_on_self():
         assert np.array_equal(c, g.values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
-def test_gram_mirror_exact_across_block_columns(n):
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 97, 150])
+def test_gram_mirror_exact_across_block_columns(n, threads):
+    # each _ROW_BLOCK of rows writes the columns below itself, so n on either
+    # side of a block edge moves which block writes the last lower rows
     rng = rng_from(14, "kernels", "mirror", n)
     knots = DesignMatrix(rng.uniform(size=(n, 3)))
-    for spec in [KernelSpec.har(0), KernelSpec.sobolev()]:
-        g = gram_matrix(knots, spec).values
+    for spec in [KernelSpec.har(0), KernelSpec.har(1), KernelSpec.sobolev(), KernelSpec.rbf(1.1)]:
+        g = gram_matrix(knots, spec, threads=threads).values
         assert np.array_equal(g, g.T)
-        assert np.array_equal(g, cross_kernel_matrix(knots, knots, spec))
+        assert np.array_equal(g, cross_kernel_matrix(knots, knots, spec, threads=threads))
 
 
 def _sobolev_oracle(a, b):

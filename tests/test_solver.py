@@ -271,6 +271,46 @@ def test_order0_table_build_holds_the_table_masks_and_one_block():
     assert peak < table_bytes + mask_bytes + 2 * 2**20
 
 
+def test_order0_table_build_holds_one_anchor_block_of_masks():
+    # each anchor block builds its own (n, block) masks: the build never
+    # holds even half of the n x n knot-vs-knot masks
+    rng = rng_from(45, "solver", "table-block-masks")
+    n, p = 2000, 3
+    knots = rng.uniform(size=(n, p))
+    alpha = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        _order0_table(knots, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = n * (1 << p) * 8
+    mask_bytes = n * n * np.min_scalar_type(1 << p).itemsize
+    assert peak < table_bytes + mask_bytes / 2
+
+
+@pytest.mark.parametrize(
+    "n, p", [(n, p) for n in (1, 31, 33, 200) for p in (1, 7, 8, 9)] + [(n, 16) for n in (1, 31, 33)]
+)
+def test_order0_flat_gather_equals_the_anchor_gather(n, p):
+    # p = 8 and 16 are where the mask word widens from 8 to 16 and from 16 to
+    # 32 bits; the reference is the (anchor, mask) gather of the table rows
+    rng = rng_from(46, "solver", "flat-gather", n, p)
+    knots = np.round(rng.uniform(size=(n, p)), 1)
+    alpha = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    test = np.round(rng.uniform(size=(70, p)), 1)
+    test[::3] = rng.uniform(size=(24, p))
+    table = _order0_table(knots, alpha)
+    masks = membership_masks(test, knots)[:, :, 0]
+    reference = table[np.arange(n), masks].sum(axis=1)
+    model = FittedModel(
+        knots=DesignMatrix(knots), spec=T0, lam=1.0, alpha=alpha, scaling=ScalingParams.identity(p),
+    )
+    assert _use_contraction(model.spec, model.knots)
+    for threads in (1, 2):
+        assert np.array_equal(predict(model, DesignMatrix(test), threads=threads), reference)
+
+
 # p=3 fits the order-0 table, p=25 at n=10 does not
 _CUBE_SPECS = {
     "har0": (T0, 3),
