@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .data import (
-    SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_json, write_table,
+    SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_json, write_predictions,
+    write_table,
 )
 from .exceptions import HarError, InvalidParameterError, SchemaError
 from .experiments import (
@@ -248,7 +249,8 @@ def _prediction_column_name(names) -> str:
 
 def cmd_predict(cfg: dict) -> dict:
     model, metadata = load_model(cfg["model"])
-    header, rows, dropped = read_table(cfg["data"])
+    table = read_table(cfg["data"])
+    header, rows, dropped = table
 
     feature_names = metadata.get("feature_names")
     names_ok = feature_names is None or (
@@ -280,7 +282,7 @@ def cmd_predict(cfg: dict) -> dict:
         preds = predict(model, DesignMatrix(apply_scaling(raw, model.scaling)), threads=cfg["threads"])
     else:
         preds = np.empty(0)
-    write_table(cfg["out"], [*header, _prediction_column_name(header)], np.column_stack([rows, preds]))
+    write_predictions(cfg["out"], table, _prediction_column_name(header), preds)
 
     summary = {
         "command": "predict",

@@ -1,4 +1,10 @@
-"""Dataset ingestion, unit-cube scaling, seeded splits, and metrics.
+"""Dataset ingestion, CSV tables, unit-cube scaling, seeded splits, and metrics.
+
+`read_table` parses a headed CSV and `write_table` writes one with every
+float as its ``repr``.  `write_predictions` writes what `read_table` read
+plus a prediction column, copying each kept row line as written when
+`np.loadtxt` parsed the body; `_row_lines` alone decides which body lines
+are rows, for both.
 
 All randomness in the package flows through `rng_from`: one 64-bit master
 seed plus a structured key yields an independent PCG64 stream, so every
@@ -11,8 +17,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -89,6 +98,18 @@ class Dataset:
         return self.features.shape[1]
 
 
+class _Table(tuple):
+    """What `read_table` returns: the tuple (header, rows, dropped), which also
+    records, for `write_predictions`, the file it came from and `kept`, the
+    row filter's mask over the body's row lines when np.loadtxt parsed the
+    body (None when the per-cell loop did)."""
+
+    def __new__(cls, header, rows, dropped, source, kept):
+        table = super().__new__(cls, (header, rows, dropped))
+        table.source, table.kept = source, kept
+        return table
+
+
 def read_table(path) -> tuple[list, np.ndarray, int]:
     """Parse a headed CSV into (column names, float rows, dropped-row count).
 
@@ -98,13 +119,38 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     does a file that is not UTF-8 text (a leading byte-order mark is skipped).
     The row array may have zero rows (header-only file).
 
-    The body is parsed by one `np.loadtxt` call when it can be; any file that
-    call rejects (a blank, quoted or otherwise unusual cell, a ragged row, no
-    data line) is parsed cell by cell instead, and that loop alone decides
-    every message.  Every cell `np.loadtxt` accepts, Python ``float`` parses
-    to the same value, so both give the same rows.  Either parser keeps
-    non-finite cells; one row filter after both drops and counts their rows.
+    The body is parsed by one `np.loadtxt` call when it can be, one row per
+    row line (`_row_lines`: every line not empty once its line end is
+    stripped); any body that call rejects (a blank, quoted or otherwise
+    unusual cell, a whitespace-only line, a ragged row, no row line) is
+    parsed cell by cell instead, and that loop alone decides every message.
+    Every cell `np.loadtxt` accepts, Python ``float`` parses to the same
+    value, so both give the same rows.  Either parser keeps non-finite cells;
+    one row filter after both drops and counts their rows.  The returned
+    tuple also carries what `write_predictions` needs to copy the kept row
+    lines: the path and that filter's mask.
     """
+    with _opened(path) as (fh, header, reader):
+        body = fh.tell()
+        rows = _loadtxt_body(fh, len(header))
+        bulk = rows is not None
+        if not bulk:
+            fh.seek(body)
+            rows = _parse_cells(path, header, reader)
+    finite = np.isfinite(rows).all(axis=1)
+    dropped = rows.shape[0] - int(np.count_nonzero(finite))
+    if dropped:
+        rows = rows[finite]
+        warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
+    return _Table(header, rows, dropped, path, finite if bulk else None)
+
+
+@contextmanager
+def _opened(path):
+    """`path` opened for reading with its header row read and checked: yields
+    (file at the first body line, column names, csv reader over the rest).
+    A leading byte-order mark is skipped, line ends are kept for `_row_lines`,
+    and text that is not UTF-8 is a SchemaError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             # lines pulled by readline, not by iteration, keep fh.tell() usable
@@ -118,33 +164,33 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
                 raise SchemaError(f"{path}: blank column name in header")
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate column names in header")
-            body = fh.tell()
-            rows = _loadtxt_body(fh, len(header))
-            if rows is None:
-                fh.seek(body)
-                rows = _parse_cells(path, header, reader)
+            yield fh, header, reader
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    finite = np.isfinite(rows).all(axis=1)
-    dropped = rows.shape[0] - int(np.count_nonzero(finite))
-    if dropped:
-        rows = rows[finite]
-        warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
-    return header, rows, dropped
+
+
+def _row_lines(fh):
+    """The row lines from `fh`'s position on, line ends stripped: every line
+    not empty once ``\\r\\n`` is stripped, in order.  The one owner of which
+    body lines are rows: `_loadtxt_body` parses exactly these, one row each,
+    and `write_predictions` copies them."""
+    for line in iter(fh.readline, ""):
+        line = line.rstrip("\r\n")
+        if line:
+            yield line
 
 
 def _loadtxt_body(fh, width: int) -> np.ndarray | None:
-    """The rest of `fh` as one (rows, width) array, non-finite cells kept, or
-    None when `np.loadtxt` rejects it, gives another width or would see no
-    data line (it warns on those)."""
-    start = fh.tell()
-    has_data = any(line.strip("\r\n") for line in iter(fh.readline, ""))
-    fh.seek(start)
-    if not has_data:
+    """The rest of `fh` as one (rows, width) array, one row per row line,
+    non-finite cells kept, or None when `np.loadtxt` rejects it, gives
+    another width or would see no row line (it warns on those)."""
+    lines = _row_lines(fh)
+    first = next(lines, None)
+    if first is None:
         return None
     try:
         # comments=None: a "#" is a cell character, never the start of a comment
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        rows = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2, comments=None)
     except ValueError:  # UnicodeDecodeError too: the loop reports it
         return None
     return rows if rows.shape[1] == width else None
@@ -193,6 +239,64 @@ def write_table(path, header, rows) -> None:
         # never exists as Python objects all at once
         for start in range(0, rows.shape[0], 1024):
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows[start:start + 1024].tolist()]))
+
+
+def write_predictions(path, table, column: str, preds) -> None:
+    """Write `table`, as `read_table` returned it, plus a last `column` of
+    `preds` (one per kept row, each as its ``repr``): ``\\n`` line ends, the
+    header csv-quoted as `write_table` does.
+
+    A body `np.loadtxt` parsed is copied: each kept row line as written, line
+    end stripped, so cells keep their spelling; `read_table`'s row filter
+    mask skips the dropped ones.  The file is re-read 1024 row lines at a
+    time, so no copy of its text is held, and a changed header or count of
+    row lines is a SchemaError naming it.  A body the per-cell loop parsed,
+    or an output path that is the input itself, is re-printed by
+    `write_table`.  Cells that are ``repr`` spellings give the same bytes
+    either way.
+    """
+    header, rows, _ = table
+    preds = np.asarray(preds, dtype=np.float64)
+    if preds.shape != (rows.shape[0],):
+        raise DimensionMismatchError(f"{preds.shape} predictions for {rows.shape[0]} kept rows")
+    names = [*header, column]
+    if table.kept is None or _same_file(path, table.source):
+        write_table(path, names, np.column_stack([rows, preds]))
+        return
+    changed = SchemaError(
+        f"{table.source}: changed since it was read: expected its header and "
+        f"{table.kept.shape[0]} row lines"
+    )
+    with _opened(table.source) as (src, header_now, _), open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_now != header:
+            raise changed
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        lines = _row_lines(src)
+        done = 0
+        for start in range(0, table.kept.shape[0], 1024):
+            mask = table.kept[start:start + 1024]
+            count = int(np.count_nonzero(mask))
+            fh.write("".join(_copied_lines(lines, mask.tolist(), preds[done:done + count].tolist(), changed)))
+            done += count
+        if next(lines, None) is not None:
+            raise changed
+
+
+def _copied_lines(lines, mask: list, preds: list, changed: Exception) -> list:
+    """The next ``len(mask)`` row lines, those `mask` keeps each followed by
+    its prediction; raises `changed` when fewer are left.  A function of its
+    own so that the input block is freed before its output is joined."""
+    block = list(islice(lines, len(mask)))
+    if len(block) != len(mask):
+        raise changed
+    return [f"{line},{value!r}\n" for line, value in zip(compress(block, mask), preds)]
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # the output does not exist yet
+        return False
 
 
 def write_json(path, doc) -> None:

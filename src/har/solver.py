@@ -57,6 +57,7 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     _cross_row_blocks,
+    _row_slices,
     gram_matrix,
 )
 
@@ -222,7 +223,8 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
 
 
 def _max_row_norm(K: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(K, axis=1)))
+    # a row block at a time: the whole-matrix norm squares K into an n x n temporary
+    return float(max(np.linalg.norm(K[rows], axis=1).max() for rows in _row_slices(K.shape[0])))
 
 
 def _lambda0(max_row_norm: float, factor: float, eig_min: float) -> float:

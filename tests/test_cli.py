@@ -11,7 +11,7 @@ import pytest
 
 import har
 from har.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from har.data import rng_from
+from har.data import rng_from, write_table
 from har.experiments import run_demo
 
 
@@ -129,6 +129,79 @@ def test_predict_keeps_quoted_header_cells(tmp_path, capsys):
     code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
     assert code == EXIT_OK and "rmse" in summary
     assert out.read_bytes().split(b"\n")[0] == (header + ",prediction").encode()
+
+
+def _spy_predict(monkeypatch, before=None):
+    """Record every array `har predict` gets from `predict`; `before` runs first."""
+    calls = []
+    real = har.cli.predict
+
+    def spy(*args, **kwargs):
+        if before is not None:
+            before()
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(har.cli, "predict", spy)
+    return calls
+
+
+def test_predict_output_of_a_repr_file_is_the_reprinted_table(train_csv, tmp_path, capsys, monkeypatch):
+    # passes before the line copy too: the copy must keep these bytes
+    model, out, ref = str(tmp_path / "m.json"), tmp_path / "p.csv", tmp_path / "ref.csv"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    calls = _spy_predict(monkeypatch)
+    assert run_cli(capsys, "predict", "--model", model, "--data", train_csv, "--out", str(out))[0] == EXIT_OK
+    header, rows, _ = har.read_table(train_csv)
+    write_table(ref, header + ["prediction"], np.column_stack([rows, calls[0]]))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_predict_copies_kept_lines_and_skips_dropped_ones(train_csv, tmp_path, capsys, monkeypatch):
+    model, out = str(tmp_path / "m.json"), tmp_path / "p.csv"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    lines = ["0.5,1,0.10", "-1e0,2.5e-1, 3", "nan,0,0", "", "2,-inf,1", "6.369616873214542745e-01,0,1"]
+    data = tmp_path / "d.csv"
+    data.write_bytes(("\ufeffu,v,target\r\n" + "\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+    calls = _spy_predict(monkeypatch)
+    with pytest.warns(UserWarning, match="dropped 2 rows"):
+        code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
+    assert code == EXIT_OK and summary["rows"] == 3 and summary["dropped_rows"] == 2
+    assert [len(preds) for preds in calls] == [3]
+    written = out.read_bytes().decode("utf-8").split("\n")
+    assert written[0] == "u,v,target,prediction" and written[-1] == ""
+    assert [line.rsplit(",", 1)[0] for line in written[1:-1]] == [lines[0], lines[1], lines[5]]
+    header, rows, dropped = har.read_table(out)
+    assert dropped == 0 and np.array_equal(rows[:, -1], calls[0])
+    with pytest.warns(UserWarning, match="dropped 2 rows"):
+        assert np.array_equal(rows[:, :-1], har.read_table(data)[1])
+
+
+def test_predict_rejects_an_input_changed_before_the_write(train_csv, tmp_path, capsys, monkeypatch):
+    model, out = str(tmp_path / "m.json"), tmp_path / "p.csv"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    data = tmp_path / "d.csv"
+    data.write_text(Path(train_csv).read_text())
+
+    def append_a_row():
+        with open(data, "a") as fh:
+            fh.write("0.5,0.5,0.5\n")
+
+    _spy_predict(monkeypatch, append_a_row)
+    code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
+    assert code == EXIT_RUNTIME and summary["error"]["type"] == "SchemaError"
+    assert summary["error"]["message"].startswith(f"{data}: changed since it was read")
+
+
+def test_predict_can_write_over_its_own_input(train_csv, tmp_path, capsys):
+    # passes before the line copy too, which must not truncate what it copies
+    model, data = str(tmp_path / "m.json"), tmp_path / "d.csv"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    data.write_text(Path(train_csv).read_text())
+    expected = tmp_path / "p.csv"
+    assert run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(expected))[0] == EXIT_OK
+    assert run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(data))[0] == EXIT_OK
+    assert data.read_bytes() == expected.read_bytes()
 
 
 def test_predict_reports_clamped_rows(train_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,6 +213,111 @@ def test_write_table_array_bytes_match_csv_writer(tmp_path):
     write_table(path, header, rows)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
     assert path.read_text().splitlines()[:3] == ['a,"b,c","q""x"', "-0.0,nan,inf", "-inf,5e-324,1e+16"]
+
+
+def _predictions_for(table):
+    """Any float64 values, one per kept row, with many repr lengths."""
+    rows = table[1]
+    return np.sin(rows.sum(axis=1)) * 10.0 ** (np.arange(rows.shape[0]) % 7 - 3)
+
+
+def _write_predictions_outcome(path, out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = read_table(path)
+    preds = _predictions_for(table)
+    data.write_predictions(out, table, "prediction", preds)
+    return table, preds
+
+
+def test_write_predictions_of_a_write_table_file_matches_the_reprint(tmp_path):
+    header = ["a", "b,c", "y"]
+    rows = rng_from(5, "copy").uniform(-1e3, 1e3, size=(2100, 3))  # spans three 1024-line blocks
+    rows[[3, 1023, 1024, 2099], [0, 1, 2, 0]] = [np.nan, np.inf, -np.inf, np.nan]
+    rows[7] = [-0.0, 5e-324, 1e16]
+    src, out, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
+    write_table(src, header, rows)
+    table, preds = _write_predictions_outcome(src, out)
+    assert table[2] == 4
+    # the re-printed table every earlier version wrote, kept as the reference
+    write_table(ref, table[0] + ["prediction"], np.column_stack([table[1], preds]))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_write_predictions_keeps_each_cell_as_written(tmp_path):
+    lines = ["1,0.10", "1e3, 2.5", "6.369616873214542745e-01,-0", "nan,1", "2,inf", "+.5,1E-3 "]
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("a,b\n" + "\n".join(lines) + "\n")
+    table, preds = _write_predictions_outcome(src, out)
+    written = out.read_text().split("\n")
+    assert written[0] == "a,b,prediction" and written[-1] == ""
+    kept = [line for line in lines if "nan" not in line and "inf" not in line]
+    assert [line.rsplit(",", 1)[0] for line in written[1:-1]] == kept
+    assert [float(line.rsplit(",", 1)[1]) for line in written[1:-1]] == preds.tolist()
+    header, rows, dropped = read_table(out)
+    assert header == ["a", "b", "prediction"] and dropped == 0
+    assert np.array_equal(rows, np.column_stack([table[1], preds]))
+
+
+def test_write_predictions_writes_lf_without_bom_and_skips_blank_lines(tmp_path):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_bytes("\ufeffa,b\r\n1,2\r\n\r\n\r\n3,4\r\n\n5,6".encode("utf-8"))
+    _write_predictions_outcome(src, out)
+    text = out.read_bytes()
+    assert not text.startswith(b"\xef\xbb\xbf") and b"\r" not in text
+    assert [line.rsplit(b",", 1)[0] for line in text.split(b"\n")] == [b"a,b", b"1,2", b"3,4", b"5,6", b""]
+
+
+@pytest.mark.parametrize("body", ['"2",3\n4,5\n', "2,\n4,5\n6,7\n"], ids=["quoted cell", "blank cell"])
+def test_write_predictions_reprints_a_per_cell_body(tmp_path, body):
+    src, out, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
+    src.write_text("a,b\n" + body)
+    table, preds = _write_predictions_outcome(src, out)
+    assert table.kept is None
+    write_table(ref, table[0] + ["prediction"], np.column_stack([table[1], preds]))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["append", "drop", "header"])
+def test_write_predictions_rejects_a_file_changed_since_it_was_read(tmp_path, edit):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("a,b\n" + "".join(f"{i},{i / 3!r}\n" for i in range(1500)))
+    table = read_table(src)
+    text = src.read_text()
+    src.write_text({
+        "append": text + "7,8\n",
+        "drop": text[: text.rindex("\n", 0, -1) + 1],
+        "header": text.replace("a,b", "a,c", 1),
+    }[edit])
+    with pytest.raises(SchemaError, match="changed since it was read"):
+        data.write_predictions(out, table, "prediction", np.zeros(1500))
+
+
+def test_write_predictions_to_its_own_input_reprints(tmp_path):
+    src, ref = tmp_path / "in.csv", tmp_path / "ref.csv"
+    src.write_text("a,b\n1,0.10\n2,3\n")
+    table = read_table(src)
+    write_table(ref, ["a", "b", "prediction"], np.column_stack([table[1], [0.5, 1.5]]))
+    data.write_predictions(src, table, "prediction", np.array([0.5, 1.5]))
+    assert src.read_bytes() == ref.read_bytes()
+
+
+def test_write_predictions_holds_no_copy_of_the_input(tmp_path):
+    # the 20000 x 12 input is ~4.5 MB of text and its table 1.9 MB of floats;
+    # the writer holds one block of 1024 lines and their output at a time
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_table(src, [f"c{j}" for j in range(12)], rng_from(6, "copy-peak").uniform(size=(20000, 12)))
+    assert src.stat().st_size > 4_000_000
+    table = read_table(src)
+    preds = table[1].sum(axis=1)
+    tracemalloc.start()
+    try:
+        data.write_predictions(out, table, "prediction", preds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(out.read_text().splitlines()) == 20001
 
 
 def test_target_selection(write_csv):

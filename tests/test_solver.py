@@ -25,9 +25,13 @@ from har.kernels import (
     membership_masks,
 )
 from har.solver import (
+    DEFAULT_EPSILON,
     RBF_BANDWIDTHS,
     FittedModel,
+    _bound_factor,
     _loo_grid,
+    _max_row_norm,
+    eigh,
     fit,
     lambda_grid,
     lambda_max,
@@ -445,6 +449,45 @@ def test_lambda_max_uses_exact_smallest_eigenvalue():
         - np.linalg.eigvalsh(K)[0]
     )
     assert lambda_max(g, y, eps) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_max_row_norm_holds_one_row_block():
+    # the whole-matrix norm squared K into a 20.5 MB temporary here
+    K = rng_from(9, "solver", "row-norm-peak").uniform(size=(1600, 1600))
+    expected = float(np.max(np.linalg.norm(K, axis=1)))
+    tracemalloc.start()
+    try:
+        norm = _max_row_norm(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == expected
+    assert peak < 2_560_000
+
+
+_ROW_NORM_SPECS = [T0, KernelSpec.sobolev(), KernelSpec.rbf(RBF_BANDWIDTHS[6]), KernelSpec.har(1)]
+
+
+@pytest.mark.parametrize("spec, n, p", zip(_ROW_NORM_SPECS, [1600, 333, 257, 97], [10, 4, 4, 4]))
+def test_max_row_norm_equals_the_whole_matrix_norm(spec, n, p):
+    K = gram_matrix(DesignMatrix(rng_from(10, "solver", "row-norm", n).uniform(size=(n, p))), spec).values
+    assert _max_row_norm(K) == float(np.max(np.linalg.norm(K, axis=1)))
+
+
+@pytest.mark.parametrize("spec", _ROW_NORM_SPECS)
+def test_lambda0_from_tune_and_lambda_max_uses_the_max_row_norm(spec):
+    rng = rng_from(11, "solver", "lambda0", spec.family)
+    knots = DesignMatrix(rng.uniform(size=(97, 4)))
+    y = rng.standard_normal(97)
+    K = gram_matrix(knots, spec).values
+    factor = _bound_factor(y, DEFAULT_EPSILON)
+    expected = float(np.max(np.linalg.norm(K, axis=1))) * factor
+    eig_min = eigh(K, eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0]
+    assert lambda_max(gram_matrix(knots, spec), y) == expected - float(eig_min)
+    # with one grid point, each spec's only candidate is its lambda0
+    result, _ = tune(knots, y, spec.family, order=spec.order, grid_count=1)
+    lam0 = dict(result.candidates)[spec]
+    assert lam0 == expected - float(eigh(K, driver="evd", check_finite=False)[0][0])
 
 
 def test_grid_shape_and_endpoints():
