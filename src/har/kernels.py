@@ -46,19 +46,22 @@ Three kernel families share one interface:
 
 * ``rbf`` -- the Gaussian kernel ``exp(-||x - x'||^2 / (2 * bandwidth^2))``.
 
-Gram matrices are assembled from fixed row blocks: each block writes its
-rows of the upper triangle and their mirror below the diagonal, so no
-sequential pass follows.  Everything between test rows and knots
-goes through one private row-block driver, `_cross_row_blocks`: it checks
-the widths and the unit cube once, splits the test rows into the same fixed
-``_ROW_BLOCK``-row blocks and sets each block's rows of its output with one
-per-block function.  `cross_kernel_matrix` asks it for the (m, n) matrix;
-``solver.predict`` asks for k(test, knots) @ alpha, which an order-0 model
-whose n * 2**p table fits gathers from `_order0_table` and every other model
-reduces from its evaluated block row by row, so the m x n matrix is never
-held.  Every entry is written by exactly one task and no value depends on
-which worker ran its block, so results are bit-identical for any worker
-count.
+Gram matrices are assembled from fixed ``_ROW_BLOCK``-row blocks: each
+block writes its rows of the upper triangle and their mirror below the
+diagonal, so no sequential pass follows.  Everything between test rows and
+knots goes through one private row-block driver, `_cross_row_blocks`: it
+checks the widths and the unit cube once, splits the test rows into fixed
+blocks and sets each block's rows of its output with one per-block
+function.  `cross_kernel_matrix` asks it for the (m, n) matrix, in
+``_ROW_BLOCK``-row blocks; ``solver.predict`` asks for k(test, knots) @
+alpha, which an order-0 model whose n * 2**p table fits gathers from
+`_order0_table` and every other model reduces from its evaluated block row
+by row, so the m x n matrix is never held.  Prediction blocks take as many
+rows as keep one worker's scratch near ``_BLOCK_SCRATCH_BYTES``
+(`_predict_block_rows`), so each block makes its numpy calls over more
+rows.  Every entry is written by exactly one task and no value depends on
+which worker ran its block or on how many rows the block holds, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ _TILE_ROWS = 8
 _TILE_COLS = 32
 # order-0 prediction gathers from a table of n * 2^p floats when it fits
 _TABLE_BYTES_CAP = 200 * 2**20
+# a prediction row block holds about this much (rows, n) scratch per worker,
+# and gathers table entries for this many knots at a time
+_BLOCK_SCRATCH_BYTES = 2**20
+_GATHER_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -336,15 +343,25 @@ def membership_masks(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     1 iff ``knots[k, j] <= points[a, j]``.  The order-0 count for a pair
     (a, b) at knot k is the popcount of ``out[a, k] & out[b, k]`` summed
     over the words.
+
+    The knots are copied once per call into one contiguous row per feature,
+    and each feature is compared, shifted to its bit and or-ed into its word
+    through two reused (m, n) buffers, so a call makes three numpy calls per
+    feature and allocates no array per feature.
     """
     m, p = points.shape
     n = knots.shape[0]
     dtype = np.min_scalar_type(1 << min(p, 63))
     bits = 8 * dtype.itemsize
     out = np.zeros((m, n, -(-p // bits)), dtype=dtype)
+    columns = knots.T.copy()  # (p, n)
+    hit = np.empty((m, n), dtype=bool)
+    term = np.empty((m, n), dtype=dtype)
     for j in range(p):
-        bit = dtype.type(1) << dtype.type(j % bits)
-        out[:, :, j // bits] |= (knots[None, :, j] <= points[:, None, j]) * bit
+        word = out[:, :, j // bits]
+        np.less_equal(columns[j], points[:, j, None], out=hit)
+        np.left_shift(hit, dtype.type(j % bits), out=term)
+        np.bitwise_or(word, term, out=word)
     return out
 
 
@@ -454,15 +471,20 @@ def _block_evaluator(spec: KernelSpec, knot_vals: np.ndarray, row_vals: np.ndarr
             row_lo = np.cosh(rv)
             row_hi = np.cosh(1.0 - rv)
             shape = (rv.shape[0], cols.stop - cols.start)
-            acc = np.ones(shape)
+            acc = np.empty(shape)
             term = np.empty(shape)
             hi = np.empty(shape)
-            for j in range(p):
+            # the first factor goes straight into acc: 1.0 * t0 is t0
+            np.minimum(row_lo[:, 0, None], knot_lo[0, cols], out=acc)
+            np.minimum(row_hi[:, 0, None], knot_hi[0, cols], out=hi)
+            acc *= hi
+            for j in range(1, p):
                 np.minimum(row_lo[:, j, None], knot_lo[j, cols], out=term)
                 np.minimum(row_hi[:, j, None], knot_hi[j, cols], out=hi)
                 term *= hi
                 acc *= term
-            return acc / norm
+            acc /= norm
+            return acc
 
         return evaluate
 
@@ -487,9 +509,9 @@ def _resolve_workers(threads: int | None) -> int:
     return (0 if threads is None else _check_int("threads", threads, 0)) or usable or 1
 
 
-def _row_slices(m: int) -> list:
-    """The fixed partition of m rows into blocks of `_ROW_BLOCK` rows."""
-    return [slice(r0, min(r0 + _ROW_BLOCK, m)) for r0 in range(0, m, _ROW_BLOCK)]
+def _row_slices(m: int, size: int = _ROW_BLOCK) -> list:
+    """The fixed partition of m rows into blocks of `size` rows."""
+    return [slice(r0, min(r0 + size, m)) for r0 in range(0, m, size)]
 
 
 def _run_blocks(work, blocks, threads: int | None) -> None:
@@ -572,6 +594,26 @@ def _order0_table(knot_vals: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return W
 
 
+def _predict_block_rows(spec: KernelSpec, knots: DesignMatrix) -> int:
+    """Test rows per block of k(test, knots) @ alpha: as many as keep one
+    worker's block scratch within `_BLOCK_SCRATCH_BYTES`, never fewer than
+    `_ROW_BLOCK`.
+
+    The scratch is counted in bytes per (row, knot) entry of the route: the
+    table gather holds a mask word and a gathered float64, sobolev and rbf
+    blocks three float64 arrays.  Every other har block walks
+    (rows, columns, knots) tiles whose scratch grows with the columns, so it
+    keeps `_ROW_BLOCK` rows, as the Gram does.
+    """
+    if _use_contraction(spec, knots):
+        entry = np.min_scalar_type(1 << knots.p).itemsize + 8
+    elif spec.family == FAMILY_HAR:
+        return _ROW_BLOCK
+    else:
+        entry = 3 * 8
+    return max(_ROW_BLOCK, _BLOCK_SCRATCH_BYTES // (knots.n * entry))
+
+
 def _cross_row_blocks(
     test: DesignMatrix,
     knots: DesignMatrix,
@@ -583,12 +625,16 @@ def _cross_row_blocks(
     (m,) vector when ``alpha`` is given, one fixed block of test rows at a
     time.
 
-    Each block sets ``out[rows]`` on its own, so blocks run concurrently in
-    any order.  With ``alpha``, an order-0 model whose table fits gathers
-    each row from `_order0_table`; every other model reduces its block row
-    by row as ``(block * alpha).sum(axis=1)``.  Both are numpy's pairwise
-    sum along one contiguous row of n terms, so a row's value never depends
-    on the rows that share its block or on the worker count.
+    The matrix is built in `_ROW_BLOCK`-row blocks; the product in blocks of
+    `_predict_block_rows` rows, so one worker's scratch stays near
+    `_BLOCK_SCRATCH_BYTES` whatever n is.  Each block sets ``out[rows]`` on
+    its own, so blocks run concurrently in any order.  With ``alpha``, an
+    order-0 model whose table fits gathers each row's n table entries from
+    `_order0_table`, `_GATHER_COLUMNS` knots at a time, into one (rows, n)
+    block; every other model scales its evaluated block by ``alpha`` in
+    place.  Both then take ``block.sum(axis=1)``: numpy's pairwise sum along
+    one contiguous row of n terms, so a row's value never depends on the
+    rows that share its block, on the block size or on the worker count.
     """
     if test.p != knots.p:
         raise DimensionMismatchError(
@@ -603,7 +649,11 @@ def _cross_row_blocks(
 
         def block(rows: slice) -> np.ndarray:
             masks = membership_masks(test.values[rows], knots.values)[:, :, 0]
-            return table[masks + starts].sum(axis=1)
+            vals = np.empty(masks.shape)
+            for c0 in range(0, knots.n, _GATHER_COLUMNS):
+                cols = slice(c0, c0 + _GATHER_COLUMNS)
+                np.take(table, masks[:, cols] + starts[cols], out=vals[:, cols])
+            return vals.sum(axis=1)
 
     else:
         evaluate = _block_evaluator(spec, knots.values, test.values)
@@ -611,14 +661,22 @@ def _cross_row_blocks(
 
         def block(rows: slice) -> np.ndarray:
             K = evaluate(rows, all_knots)
-            return K if alpha is None else (K * alpha).sum(axis=1)
+            if alpha is None:
+                return K
+            K *= alpha
+            return K.sum(axis=1)
 
-    out = np.empty(test.n if alpha is not None else (test.n, knots.n))
+    if alpha is None:
+        out = np.empty((test.n, knots.n))
+        size = _ROW_BLOCK
+    else:
+        out = np.empty(test.n)
+        size = _predict_block_rows(spec, knots)
 
     def work(rows: slice):
         out[rows] = block(rows)
 
-    _run_blocks(work, _row_slices(test.n), threads)
+    _run_blocks(work, _row_slices(test.n, size), threads)
     return out
 
 

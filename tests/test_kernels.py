@@ -244,6 +244,61 @@ def test_membership_masks_wide_p_span_words():
     assert masks[0, 1, 1] == 0b111111
 
 
+def _per_feature_masks(points, knots):
+    # the construction membership_masks replaced: one (m, n) comparison,
+    # product and or per feature, reading knot columns in place
+    m, p = points.shape
+    n = knots.shape[0]
+    dtype = np.min_scalar_type(1 << min(p, 63))
+    bits = 8 * dtype.itemsize
+    out = np.zeros((m, n, -(-p // bits)), dtype=dtype)
+    for j in range(p):
+        bit = dtype.type(1) << dtype.type(j % bits)
+        out[:, :, j // bits] |= (knots[None, :, j] <= points[:, None, j]) * bit
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 7, 8, 9, 10, 16, 17, 63, 64, 65, 70])
+def test_membership_masks_equal_the_per_feature_construction(p):
+    # p = 8, 16, 64 widen the word or add one; rounded coordinates tie, and
+    # the last points are the knots themselves
+    rng = rng_from(47, "kernels", "masks", p)
+    knots = np.round(rng.uniform(size=(40, p)), 1)
+    knots[::2] = rng.uniform(size=(20, p))
+    points = np.vstack([np.round(rng.uniform(size=(33, p)), 1), rng.uniform(size=(5, p)), knots])
+    masks = membership_masks(points, knots)
+    reference = _per_feature_masks(points, knots)
+    assert masks.dtype == reference.dtype and masks.shape == reference.shape
+    assert np.array_equal(masks, reference)
+
+
+# ---------------------------------------------------------------------------
+# prediction block sizes
+
+@pytest.mark.parametrize("n", [1, 800, 1600, 40000])
+@pytest.mark.parametrize(
+    "spec, entry", [(KernelSpec.har(0), 2 + 8), (KernelSpec.sobolev(), 3 * 8)], ids=["table", "cross"]
+)
+def test_predict_block_rows_fill_the_scratch_budget(spec, entry, n):
+    # p = 8: uint16 masks, and the n * 256 table fits at every n here
+    knots = DesignMatrix(np.zeros((n, 8)))
+    assert kernels._use_contraction(spec, knots) == (spec.family == "har")
+    rows = kernels._predict_block_rows(spec, knots)
+    assert rows >= kernels._ROW_BLOCK
+    assert rows == kernels._ROW_BLOCK or rows * n * entry <= kernels._BLOCK_SCRATCH_BYTES
+    assert (rows + 1) * n * entry > kernels._BLOCK_SCRATCH_BYTES
+
+
+def test_predict_block_rows_at_800_knots():
+    knots = DesignMatrix(np.zeros((800, 10)))
+    assert kernels._predict_block_rows(KernelSpec.har(0), knots) == 131
+    assert kernels._predict_block_rows(KernelSpec.sobolev(), knots) == 54
+    assert kernels._predict_block_rows(KernelSpec.rbf(0.5), knots) == 54
+    # tiled har blocks keep the Gram's block
+    assert kernels._predict_block_rows(KernelSpec.har(1), knots) == kernels._ROW_BLOCK
+    assert kernels._predict_block_rows(KernelSpec.har(0), DesignMatrix(np.zeros((8, 25)))) == kernels._ROW_BLOCK
+
+
 # ---------------------------------------------------------------------------
 # gram / cross matrices
 

@@ -19,6 +19,7 @@ from har.kernels import (
     GramMatrix,
     KernelSpec,
     _order0_table,
+    _predict_block_rows,
     _use_contraction,
     cross_kernel_matrix,
     gram_matrix,
@@ -197,6 +198,41 @@ def test_row_prediction_independent_of_batch_and_threads(name):
                 [predict(model, DesignMatrix(X[i : i + batch]), threads=threads) for i in range(0, stop, batch)]
             )
             assert np.array_equal(got[:200], alone), (threads, batch)
+    # batches one row short of, equal to and one row past the route's block
+    block = _predict_block_rows(model.spec, model.knots)
+    rows = X[: 3 * block]
+    assert block + 1 < rows.shape[0]
+    whole = predict(model, DesignMatrix(rows), threads=1)
+    assert np.array_equal(whole[:200], alone[: rows.shape[0]])
+    for threads in (1, 2):
+        for batch in (block - 1, block, block + 1):
+            starts = range(0, rows.shape[0], batch)
+            got = np.concatenate([predict(model, DesignMatrix(rows[i : i + batch]), threads=threads) for i in starts])
+            assert np.array_equal(got, whole), (threads, batch)
+
+
+@pytest.mark.parametrize("spec", [T0, KernelSpec.sobolev()], ids=["table", "cross"])
+def test_predict_holds_one_block_of_scratch_per_worker(spec):
+    # 20k rows against 800 knots: 131-row table blocks and 54-row sobolev
+    # blocks; a table block that held a (rows, n) int64 gather index would
+    # exceed the first bound at 2 workers
+    rng = rng_from(48, "solver", "block-memory")
+    n, p, m = 800, 10, 20000
+    model = FittedModel(
+        knots=DesignMatrix(rng.uniform(size=(n, p))), spec=spec, lam=1.0,
+        alpha=rng.standard_normal(n), scaling=ScalingParams.identity(p),
+    )
+    test = DesignMatrix(rng.uniform(size=(m, p)))
+    tracemalloc.start()
+    try:
+        predict(model, test, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if _use_contraction(model.spec, model.knots):
+        assert peak < n * (1 << p) * 8 + m * 8 + 2 * 1.5 * 2**20
+    else:
+        assert peak < 4 * 2**20
 
 
 def test_cross_route_predict_never_holds_the_cross_matrix():
