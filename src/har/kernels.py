@@ -48,15 +48,15 @@ Three kernel families share one interface:
 
 Gram matrices are assembled from fixed ``_ROW_BLOCK``-row blocks: each
 block writes its rows of the upper triangle and their mirror below the
-diagonal, so no sequential pass follows.  Everything between test rows and
-knots goes through one private row-block driver, `_cross_row_blocks`: it
-checks the widths and the unit cube once, splits the test rows into fixed
-blocks and sets each block's rows of its output with one per-block
-function.  `cross_kernel_matrix` asks it for the (m, n) matrix, in
-``_ROW_BLOCK``-row blocks; ``solver.predict`` asks for k(test, knots) @
-alpha, which an order-0 model whose n * 2**p table fits gathers from
-`_order0_table` and every other model reduces from its evaluated block row
-by row, so the m x n matrix is never held.  Prediction blocks take as many
+diagonal, so no sequential pass follows.  Test rows against knots take one
+of two row-block passes, each checked by `_check_points` (same width, and
+the unit cube for har and sobolev) and each splitting the rows into fixed
+blocks that set their own rows of the output.  `cross_kernel_matrix`
+evaluates the (m, n) matrix in ``_ROW_BLOCK``-row blocks.
+`_cross_kernel_product`, which ``solver.predict`` calls, reduces k(test,
+knots) @ alpha row by row, so the m x n matrix is never held: an order-0
+model whose n * 2**p table fits gathers from `_order0_table`, and every
+other model scales its evaluated block by alpha.  Its blocks take as many
 rows as keep one worker's scratch near ``_BLOCK_SCRATCH_BYTES``
 (`_predict_block_rows`), so each block makes its numpy calls over more
 rows.  Every entry is written by exactly one task and no value depends on
@@ -231,8 +231,15 @@ def _require_unit_cube(vals: np.ndarray, what: str) -> None:
         )
 
 
-def _needs_cube(spec: KernelSpec) -> bool:
-    return spec.family in (FAMILY_HAR, FAMILY_SOBOLEV)
+def _check_points(points: DesignMatrix, knots: DesignMatrix, spec: KernelSpec) -> None:
+    """The one owner of the rules for points evaluated against knots: the
+    same width, and for the har and sobolev families both in the unit cube
+    (a Gram passes its knots as the points too)."""
+    if points.p != knots.p:
+        raise DimensionMismatchError(f"test has p={points.p} but knots have p={knots.p}")
+    if spec.family in (FAMILY_HAR, FAMILY_SOBOLEV):
+        _require_unit_cube(knots.values, "knots")
+        _require_unit_cube(points.values, "test points")
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +543,8 @@ def gram_matrix(knots: DesignMatrix, spec: KernelSpec, threads: int | None = Non
     pass follows, and the result is exactly symmetric and bit-identical for
     any worker count.
     """
+    _check_points(knots, knots, spec)
     vals = knots.values
-    if _needs_cube(spec):
-        _require_unit_cube(vals, "knots")
     n = knots.n
     K = np.empty((n, n), dtype=np.float64)
     evaluate = _block_evaluator(spec, vals, vals)
@@ -614,36 +620,27 @@ def _predict_block_rows(spec: KernelSpec, knots: DesignMatrix) -> int:
     return max(_ROW_BLOCK, _BLOCK_SCRATCH_BYTES // (knots.n * entry))
 
 
-def _cross_row_blocks(
+def _cross_kernel_product(
     test: DesignMatrix,
     knots: DesignMatrix,
     spec: KernelSpec,
-    alpha: np.ndarray | None = None,
+    alpha: np.ndarray,
     threads: int | None = None,
 ) -> np.ndarray:
-    """k(test, knots) as an (m, n) matrix, or k(test, knots) @ alpha as an
-    (m,) vector when ``alpha`` is given, one fixed block of test rows at a
-    time.
-
-    The matrix is built in `_ROW_BLOCK`-row blocks; the product in blocks of
+    """k(test, knots) @ alpha, one value per test row, in blocks of
     `_predict_block_rows` rows, so one worker's scratch stays near
-    `_BLOCK_SCRATCH_BYTES` whatever n is.  Each block sets ``out[rows]`` on
-    its own, so blocks run concurrently in any order.  With ``alpha``, an
-    order-0 model whose table fits gathers each row's n table entries from
-    `_order0_table`, `_GATHER_COLUMNS` knots at a time, into one (rows, n)
-    block; every other model scales its evaluated block by ``alpha`` in
-    place.  Both then take ``block.sum(axis=1)``: numpy's pairwise sum along
-    one contiguous row of n terms, so a row's value never depends on the
-    rows that share its block, on the block size or on the worker count.
+    `_BLOCK_SCRATCH_BYTES` whatever n is.
+
+    The route is picked once: an order-0 model whose table fits gathers
+    each row's n table entries from `_order0_table`, `_GATHER_COLUMNS` knots
+    at a time, into one (rows, n) block; every other model scales its
+    evaluated block by ``alpha`` in place.  Each block then sets its rows of
+    the output to ``block.sum(axis=1)``: numpy's pairwise sum along one
+    contiguous row of n terms, so a row's value never depends on the rows
+    that share its block, on the block size or on the worker count.
     """
-    if test.p != knots.p:
-        raise DimensionMismatchError(
-            f"test has p={test.p} but knots have p={knots.p}"
-        )
-    if _needs_cube(spec):
-        _require_unit_cube(knots.values, "knots")
-        _require_unit_cube(test.values, "test points")
-    if alpha is not None and _use_contraction(spec, knots):
+    _check_points(test, knots, spec)
+    if _use_contraction(spec, knots):
         table = _order0_table(knots.values, alpha).reshape(-1)
         starts = np.arange(knots.n) << knots.p  # row k of the table, flat
 
@@ -652,31 +649,26 @@ def _cross_row_blocks(
             vals = np.empty(masks.shape)
             for c0 in range(0, knots.n, _GATHER_COLUMNS):
                 cols = slice(c0, c0 + _GATHER_COLUMNS)
-                np.take(table, masks[:, cols] + starts[cols], out=vals[:, cols])
-            return vals.sum(axis=1)
+                # in range by construction (masks < 2^p), and "clip" spares
+                # numpy a bounds-checked copy of each chunk
+                np.take(table, masks[:, cols] + starts[cols], out=vals[:, cols], mode="clip")
+            return vals
 
     else:
         evaluate = _block_evaluator(spec, knots.values, test.values)
         all_knots = slice(0, knots.n)
 
         def block(rows: slice) -> np.ndarray:
-            K = evaluate(rows, all_knots)
-            if alpha is None:
-                return K
-            K *= alpha
-            return K.sum(axis=1)
+            vals = evaluate(rows, all_knots)
+            vals *= alpha
+            return vals
 
-    if alpha is None:
-        out = np.empty((test.n, knots.n))
-        size = _ROW_BLOCK
-    else:
-        out = np.empty(test.n)
-        size = _predict_block_rows(spec, knots)
+    out = np.empty(test.n)
 
     def work(rows: slice):
-        out[rows] = block(rows)
+        out[rows] = block(rows).sum(axis=1)
 
-    _run_blocks(work, _row_slices(test.n, size), threads)
+    _run_blocks(work, _row_slices(test.n, _predict_block_rows(spec, knots)), threads)
     return out
 
 
@@ -686,5 +678,15 @@ def cross_kernel_matrix(
     spec: KernelSpec,
     threads: int | None = None,
 ) -> np.ndarray:
-    """(m, n) matrix of kernel values between test rows and knot rows."""
-    return _cross_row_blocks(test, knots, spec, threads=threads)
+    """(m, n) matrix of kernel values between test rows and knot rows,
+    evaluated in `_ROW_BLOCK`-row blocks straight into its rows."""
+    _check_points(test, knots, spec)
+    out = np.empty((test.n, knots.n))
+    evaluate = _block_evaluator(spec, knots.values, test.values)
+    all_knots = slice(0, knots.n)
+
+    def work(rows: slice):
+        out[rows] = evaluate(rows, all_knots)
+
+    _run_blocks(work, _row_slices(test.n), threads)
+    return out

@@ -56,12 +56,12 @@ from .kernels import (
     DesignMatrix,
     GramMatrix,
     KernelSpec,
-    _cross_row_blocks,
+    _cross_kernel_product,
     _row_slices,
     gram_matrix,
 )
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_GRID_COUNT = 50
@@ -163,14 +163,15 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
     """Predictions k(test, knots) @ alpha, one per test row.
 
     Test rows must already be scaled/clamped into the unit cube for the
-    har/sobolev families.  One row-block pass in :mod:`har.kernels` serves
-    every model: fixed blocks of test rows, each row reduced on its own (an
-    order-0 model whose n * 2^p table fits gathers from it, every other
-    model evaluates its block against all knots), optionally on ``threads``
-    workers.  The m x n cross matrix is never held, and the values never
-    depend on batch size or worker count.
+    har/sobolev families.  The predict pass of :mod:`har.kernels`,
+    `_cross_kernel_product`, picks the model's route once (an order-0 model
+    whose n * 2^p table fits gathers from it, every other model evaluates
+    its block against all knots) and reduces fixed blocks of test rows, each
+    row on its own, optionally on ``threads`` workers.  The m x n cross
+    matrix is never held, and the values never depend on batch size or
+    worker count.
     """
-    return _cross_row_blocks(test, model.knots, model.spec, model.alpha, threads)
+    return _cross_kernel_product(test, model.knots, model.spec, model.alpha, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +350,24 @@ def tune(
 # ---------------------------------------------------------------------------
 # persistence
 
-def _model_fingerprint(model: FittedModel) -> str:
+def _model_fingerprint(model: FittedModel, feature_names: list | None = None) -> str:
     """sha256 over everything that changes predictions: kernel, lambda,
-    scaling, knots and alpha."""
+    scaling, knots and alpha, and the column names ``har predict`` selects
+    its inputs by, when the file records them (format 3 on)."""
     h = hashlib.sha256()
     h.update(json.dumps(model.spec.to_dict(), sort_keys=True).encode())
     h.update(model.knots.fingerprint.encode())
     for part in ([model.lam], model.scaling.mins, model.scaling.maxs, model.alpha):
         h.update(np.asarray(part, dtype=np.float64).tobytes())
+    if feature_names is not None:
+        h.update(json.dumps(feature_names).encode())
     return h.hexdigest()
 
 
 def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
     """Versioned JSON-ready form.  Floats survive exactly: json uses repr,
     the shortest decimal that round-trips to the same double."""
+    metadata = dict(metadata) if metadata else {}
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "kernel": model.spec.to_dict(),
@@ -371,8 +376,8 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
         "gram_fingerprint": model.knots.fingerprint,
-        "model_fingerprint": _model_fingerprint(model),
-        "metadata": dict(metadata) if metadata else {},
+        "model_fingerprint": _model_fingerprint(model, metadata.get("feature_names")),
+        "metadata": metadata,
     }
 
 
@@ -392,18 +397,19 @@ def _read(doc: dict, key: str, convert):
 
 
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
-    """Version 2 files must match their fingerprint of every prediction
-    input; version 1 files carry only the knots' fingerprint.  Keys outside
-    the prediction inputs, such as the ``y_stats`` older builds wrote, are
-    ignored."""
+    """Version 3 files must match their fingerprint of every prediction
+    input, ``metadata.feature_names`` included; version 2 files fingerprint
+    the same inputs without the names, and version 1 files carry only the
+    knots' fingerprint.  Keys outside the prediction inputs, such as the
+    ``y_stats`` older builds wrote, are ignored."""
     version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if version not in (1, 2, MODEL_FORMAT_VERSION):
         raise SchemaError(
             f"unsupported model format version {version!r}; this build reads "
             f"versions 1 to {MODEL_FORMAT_VERSION}"
         )
     required = ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint")
-    for key in required + (("model_fingerprint",) if version == 2 else ()):
+    for key in required + (("model_fingerprint",) if version > 1 else ()):
         if key not in doc:
             raise SchemaError(f"model file is missing required key {key!r}")
     knots = _read(doc, "knots", lambda v: DesignMatrix(np.asarray(v, dtype=np.float64)))
@@ -421,10 +427,11 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
         alpha=_read(doc, "alpha", lambda v: np.asarray(v, dtype=np.float64)),
         scaling=_read(doc, "scaling", ScalingParams.from_dict),
     )
-    if version == 2 and _model_fingerprint(model) != doc["model_fingerprint"]:
+    names = metadata.get("feature_names") if version == 3 else None
+    if version > 1 and _model_fingerprint(model, names) != doc["model_fingerprint"]:
         raise SchemaError(
-            "model fingerprint mismatch: kernel, lambda, scaling, knots or "
-            "alpha was edited"
+            "model fingerprint mismatch: kernel, lambda, scaling, knots, "
+            "alpha or metadata feature_names was edited"
         )
     return model, metadata
 

@@ -52,6 +52,7 @@ def test_fit_writes_model_and_summary(train_csv, tmp_path, capsys):
     assert summary["kernel"]["family"] == "sobolev"
     assert summary["lambda"] > 0 and summary["train_rmse"] >= 0
     doc = json.loads(open(out).read())
+    assert doc["format_version"] == 3
     assert doc["metadata"]["feature_names"] == ["u", "v"]
     assert doc["metadata"]["target_name"] == "target"
     assert doc["metadata"]["config"]["order"] == 0  # default echoed

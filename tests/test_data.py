@@ -302,6 +302,18 @@ def test_write_predictions_to_its_own_input_reprints(tmp_path):
     assert src.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("preds", [[0.5], [0.5, 1.5, 2.5], [[0.5, 1.5]]], ids=["short", "one per line", "2-D"])
+def test_write_predictions_rejects_predictions_not_one_per_kept_row(tmp_path, preds):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("a,b\n1,2\nnan,3\n4,5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = read_table(src)
+    with pytest.raises(DimensionMismatchError, match="for 2 kept rows"):
+        data.write_predictions(out, table, "prediction", np.array(preds))
+    assert not out.exists()
+
+
 def test_write_predictions_holds_no_copy_of_the_input(tmp_path):
     # the 20000 x 12 input is ~4.5 MB of text and its table 1.9 MB of floats;
     # the writer holds one block of 1024 lines and their output at a time

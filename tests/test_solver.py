@@ -774,6 +774,51 @@ def test_version_1_model_file_still_loads(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "names",
+    [["v", "u"], ["u"], ["u", "v", "w"], None],
+    ids=["reordered", "removed", "added", "deleted"],
+)
+def test_model_file_edit_of_feature_names_rejected(tmp_path, names):
+    rng = rng_from(52, "solver", "names")
+    knots = DesignMatrix(rng.uniform(size=(6, 2)))
+    doc = model_to_dict(fit(knots, rng.standard_normal(6), T0, 0.5), {"feature_names": ["u", "v"]})
+    assert doc["format_version"] == 3
+    model_from_dict(json.loads(json.dumps(doc)))
+    if names is None:
+        del doc["metadata"]["feature_names"]
+    else:
+        doc["metadata"]["feature_names"] = names
+    file = tmp_path / "m.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="model fingerprint.*feature_names"):
+        load_model(file)
+
+
+def test_version_2_model_file_loads_without_checking_feature_names():
+    # a document as version 2 wrote it, fingerprint included: the names were
+    # not fingerprinted, so they stay unchecked until the model is re-fitted
+    scaling = ScalingParams(mins=np.array([0.0, -1.0]), maxs=np.array([2.0, 1.0]))
+    model = FittedModel(
+        knots=DesignMatrix(np.array([[0.25, 0.5], [0.75, 0.125], [0.5, 1.0]])),
+        spec=T0, lam=0.5, alpha=np.array([1.0, -2.0, 0.5]), scaling=scaling,
+    )
+    doc = dict(
+        model_to_dict(model),
+        format_version=2,
+        model_fingerprint="218e88e425bcfcc7e9fcb72ca720d69530641c5eda4e458d1372aa58cc8c24f6",
+    )
+    test = DesignMatrix(rng_from(53, "solver", "v2").uniform(size=(7, 2)))
+    for names in (["u", "v"], ["v", "u"]):
+        doc["metadata"] = {"feature_names": names}
+        loaded, metadata = model_from_dict(json.loads(json.dumps(doc)))
+        assert metadata["feature_names"] == names
+        assert np.array_equal(predict(loaded, test), predict(model, test))
+    doc["alpha"][0] = 1.5
+    with pytest.raises(SchemaError, match="model fingerprint"):
+        model_from_dict(doc)
+
+
 def test_model_file_with_y_stats_still_loads():
     # older builds wrote y_stats, which no prediction input depends on
     rng = rng_from(51, "solver", "y-stats")
