@@ -18,15 +18,17 @@ one Gram matrix per kernel candidate:
   residual; the lowest score wins, ties to the larger lambda, then to the
   earlier candidate, a rule `_best` alone applies.
 
-`tune` factors each Gram once, K = V diag(w) V^T: eigmin(K) = w[0] sets
-lambda0, two matrix products give alpha and the inverse diagonal at every
-grid point, and the winner's alpha is its column of that product, so no
-second factorization is made.  `fit`, for an explicit lambda, makes one
-Cholesky factorization of K + lambda I and raises SingularSystemError if
-it fails, so a model's alpha always solves the lambda it records.
+`tune` factors each Gram once, K = V diag(w) V^T, by numpy.linalg.eigh
+(LAPACK dsyevd): eigmin(K) = w[0] sets lambda0, two matrix products give
+alpha and the inverse diagonal at every grid point, and the winner's alpha
+is its column of that product, so no second factorization is made.  `fit`,
+for an explicit lambda, makes one Cholesky factorization of K + lambda I
+and raises SingularSystemError if it fails, so a model's alpha always
+solves the lambda it records.
 
-scipy.linalg is imported on the first factorization only, so `import har`
-and `predict` load numpy alone.
+scipy.linalg is imported by `fit` alone, on its first call, for the
+Cholesky factor and triangular solve numpy lacks; `import har`, `tune`,
+`predict` and the studies load numpy only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
+from numpy.linalg import eigh  # a name of this module, where the benchmark's tracer looks it up
 
 from .data import ScalingParams, write_json
 from .exceptions import (
@@ -73,14 +76,8 @@ RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
 _check_model_lambda = partial(_check_real, "lambda", low=0.0)
 
 
-# scipy.linalg's factorizations, imported on their first call; they stay
-# names of this module, where callers and the benchmark's tracer look them up
-
-
-def eigh(*args, **kwargs):
-    from scipy.linalg import eigh
-
-    return eigh(*args, **kwargs)
+# scipy.linalg's Cholesky factor and solve, imported on their first call;
+# they stay names of this module, where the benchmark's tracer looks them up
 
 
 def cho_factor(*args, **kwargs):
@@ -181,11 +178,15 @@ def _loo_grid(w: np.ndarray, V: np.ndarray, y: np.ndarray, grid: np.ndarray):
     """Dual weights and leave-one-out residuals at every lambda of `grid`
     (column j for grid[j]) from one eigendecomposition K = V diag(w) V^T.
 
-    Squares V in place once alpha is formed, sparing an n x n temporary.
+    The products run on V in Fortran order, the layout LAPACK writes:
+    numpy's `eigh` returns a C-ordered copy, on which BLAS rounds the
+    products differently, so such a V is copied back once.  V is then
+    squared in place once alpha is formed, sparing another n x n temporary.
     """
     # w and grid ascend, so if any lambda is singular, grid[0] is
     if w[0] + grid[0] <= 0.0:
         raise SingularSystemError(f"K + lambda I is not positive definite at lambda={grid[0]:g}")
+    V = np.asfortranarray(V)
     inv = 1.0 / (w[:, None] + grid)
     alpha = V @ ((V.T @ y)[:, None] * inv)
     inv_diag = np.square(V, out=V) @ inv
@@ -197,10 +198,12 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
 
     Kernel knots stay fixed: e_i equals the residual at row i of a model
     refit on the other n-1 rows of the SAME Gram matrix.  Requires lam > 0.
+    Makes the eigendecomposition `tune` makes, numpy.linalg.eigh of the
+    Gram, and runs `_loo_grid` on it for the one lambda.
     """
     yv = _as_vector(y, gram.n, "y", "the Gram")
     lam = _check_real("lambda", lam, 0.0, ends="()")
-    w, V = eigh(gram.values, driver="evd", check_finite=False)
+    w, V = eigh(gram.values.T)
     return _loo_grid(w, V, yv, np.array([lam]))[1][:, 0]
 
 
@@ -240,11 +243,13 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     At lambda >= lambda0 every in-sample prediction satisfies
     |yhat_i| <= epsilon * max|y| (Cauchy-Schwarz on K_i alpha plus the
     operator-norm bound ||alpha|| <= ||y|| / (eigmin + lambda)).  eigmin is
-    computed exactly; `tune` reuses the one from its own eigendecomposition.
+    the smallest of numpy.linalg.eigvalsh's eigenvalues, which skips the
+    eigenvectors; `tune` takes w[0] of its own eigendecomposition instead,
+    so the two can differ in the last bits.
     """
     check_tuning(epsilon)
     factor = _bound_factor(_as_vector(y, gram.n, "y", "the Gram"), epsilon)
-    eig_min = eigh(gram.values, eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0]
+    eig_min = np.linalg.eigvalsh(gram.values.T)[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
 
@@ -321,13 +326,11 @@ def tune(
     scores = []
     kept = []  # each spec's winning alpha, so no (n, G) block outlives its pass
     for spec in specs:
-        # tune holds the only reference to this Gram, so eigh may overwrite
-        # it; K.T is the same symmetric matrix in the column order LAPACK
-        # works in, so no copy is made
+        # K.T is the same symmetric matrix in the column order LAPACK works
+        # in, which numpy copies into its LAPACK buffer without a transpose
         K = gram_matrix(knots, spec, threads=threads).values
         row_norm = _max_row_norm(K)
-        K.setflags(write=True)
-        w, V = eigh(K.T, driver="evd", overwrite_a=True, check_finite=False)
+        w, V = eigh(K.T)
         lam0 = _lambda0(row_norm, factor, float(w[0]))
         grid = lambda_grid(lam0, grid_count)
         alphas, errors = _loo_grid(w, V, yv, grid)

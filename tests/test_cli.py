@@ -708,13 +708,18 @@ def test_import_har_loads_no_scipy_linalg():
     assert _fresh_interpreter("import har\n" + _LOADS_SCIPY_LINALG) is False
 
 
-def test_predict_loads_no_scipy_linalg_and_fit_does(train_csv, tmp_path, capsys):
-    model, preds = str(tmp_path / "m.json"), str(tmp_path / "p.csv")
-    code, summary, _ = run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
-    assert code == EXIT_OK and summary["kernel"] == {"family": "har", "order": 0, "bandwidth": None}
+def test_fit_simulate_and_predict_load_no_scipy_linalg_and_library_fit_does(train_csv, tmp_path):
+    model = str(tmp_path / "m.json")
     run = "import json, sys; from har.cli import main; print(json.dumps([main({argv!r}), 'scipy.linalg' in sys.modules]))"
-    predict = ["predict", "--model", model, "--data", train_csv, "--out", preds]
-    assert _fresh_interpreter(run.format(argv=predict)) == [EXIT_OK, False]
-    # the import is deferred to the first factorization, not lost
-    refit = ["fit", "--data", train_csv, "--grid", "5", "--out", str(tmp_path / "m2.json")]
-    assert _fresh_interpreter(run.format(argv=refit)) == [EXIT_OK, True]
+    for argv in (
+        ["fit", "--data", train_csv, "--grid", "5", "--out", model],
+        ["simulate", "--grid", "5", "--out", str(tmp_path / "s.csv")],
+        ["predict", "--model", model, "--data", train_csv, "--out", str(tmp_path / "p.csv")],
+    ):
+        assert _fresh_interpreter(run.format(argv=argv)) == [EXIT_OK, False], argv[0]
+    # the Cholesky import is deferred to the library's fit, not lost
+    fit = (
+        "from har.kernels import DesignMatrix, KernelSpec; from har.solver import fit; "
+        "fit(DesignMatrix([[0.5]]), [1.0], KernelSpec.har(0), 1.0)\n"
+    )
+    assert _fresh_interpreter(fit + _LOADS_SCIPY_LINALG) is True

@@ -29,7 +29,10 @@ from har.solver import (
     DEFAULT_EPSILON,
     RBF_BANDWIDTHS,
     FittedModel,
+    _best,
     _bound_factor,
+    _family_specs,
+    _lambda0,
     _loo_grid,
     _max_row_norm,
     eigh,
@@ -518,12 +521,12 @@ def test_lambda0_from_tune_and_lambda_max_uses_the_max_row_norm(spec):
     K = gram_matrix(knots, spec).values
     factor = _bound_factor(y, DEFAULT_EPSILON)
     expected = float(np.max(np.linalg.norm(K, axis=1))) * factor
-    eig_min = eigh(K, eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0]
+    eig_min = np.linalg.eigvalsh(K)[0]
     assert lambda_max(gram_matrix(knots, spec), y) == expected - float(eig_min)
     # with one grid point, each spec's only candidate is its lambda0
     result, _ = tune(knots, y, spec.family, order=spec.order, grid_count=1)
     lam0 = dict(result.candidates)[spec]
-    assert lam0 == expected - float(eigh(K, driver="evd", check_finite=False)[0][0])
+    assert lam0 == expected - float(eigh(K)[0][0])
 
 
 def test_grid_shape_and_endpoints():
@@ -575,6 +578,39 @@ def test_tune_matches_per_lambda_loo_and_fit(family, order, n):
     assert model.spec == spec and model.lam == lam
     ref = fit(knots, y, spec, lam, gram=grams[spec]).alpha
     assert np.linalg.norm(model.alpha - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def _tune_on_scipy_eigh(knots, y, family, order, threads):
+    """`tune`'s scores, selected index and winning alpha rebuilt on
+    scipy.linalg.eigh(driver="evd"), which returns V in Fortran order."""
+    from scipy.linalg import eigh as scipy_eigh
+
+    factor = _bound_factor(y, DEFAULT_EPSILON)
+    scores, lams, alphas = [], [], []
+    for spec in _family_specs(family, order):
+        K = gram_matrix(knots, spec, threads=threads).values
+        w, V = scipy_eigh(K, driver="evd")
+        grid = lambda_grid(_lambda0(_max_row_norm(K), factor, float(w[0])))
+        spec_alphas, errors = _loo_grid(w, V, y, grid)
+        scores.extend(float(np.mean(errors[:, j] ** 2)) for j in range(len(grid)))
+        lams.extend(grid)
+        alphas.extend(spec_alphas.T)
+    selected = _best(scores, lams)
+    return np.array(scores), selected, alphas[selected]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [1, 31, 200])
+@pytest.mark.parametrize("family, order", [("har", 0), ("har", 1), ("sobolev", 0), ("rbf", 0)])
+def test_tune_is_bit_identical_to_scipy_eigh_reference(family, order, n, threads):
+    rng = rng_from(49, "solver", "tune-scipy", family, order, n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = np.sin(5.0 * knots.values[:, 0]) * knots.values[:, 1] + 0.1 * rng.standard_normal(n)
+    result, model = tune(knots, y, family, order=order, threads=threads)
+    scores, selected, alpha = _tune_on_scipy_eigh(knots, y, family, order, threads)
+    assert np.array_equal(result.scores, scores)
+    assert result.selected == selected
+    assert np.array_equal(model.alpha, alpha)
 
 
 def test_tune_rbf_scans_bandwidths():
