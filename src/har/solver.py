@@ -203,7 +203,7 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
     """
     yv = _as_vector(y, gram.n, "y", "the Gram")
     lam = _check_real("lambda", lam, 0.0, ends="()")
-    w, V = eigh(gram.values.T)
+    w, V = eigh(gram.values)
     return _loo_grid(w, V, yv, np.array([lam]))[1][:, 0]
 
 
@@ -249,7 +249,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     """
     check_tuning(epsilon)
     factor = _bound_factor(_as_vector(y, gram.n, "y", "the Gram"), epsilon)
-    eig_min = np.linalg.eigvalsh(gram.values.T)[0]
+    eig_min = np.linalg.eigvalsh(gram.values)[0]
     return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
 
 
@@ -326,11 +326,9 @@ def tune(
     scores = []
     kept = []  # each spec's winning alpha, so no (n, G) block outlives its pass
     for spec in specs:
-        # K.T is the same symmetric matrix in the column order LAPACK works
-        # in, which numpy copies into its LAPACK buffer without a transpose
         K = gram_matrix(knots, spec, threads=threads).values
         row_norm = _max_row_norm(K)
-        w, V = eigh(K.T)
+        w, V = eigh(K)
         lam0 = _lambda0(row_norm, factor, float(w[0]))
         grid = lambda_grid(lam0, grid_count)
         alphas, errors = _loo_grid(w, V, yv, grid)

@@ -708,11 +708,13 @@ def test_import_har_loads_no_scipy_linalg():
     assert _fresh_interpreter("import har\n" + _LOADS_SCIPY_LINALG) is False
 
 
-def test_fit_simulate_and_predict_load_no_scipy_linalg_and_library_fit_does(train_csv, tmp_path):
+def test_fit_simulate_and_predict_load_no_scipy_linalg_and_library_fit_does(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
+    code, summary, _ = run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    assert code == EXIT_OK and summary["kernel"] == {"family": "har", "order": 0, "bandwidth": None}
     run = "import json, sys; from har.cli import main; print(json.dumps([main({argv!r}), 'scipy.linalg' in sys.modules]))"
     for argv in (
-        ["fit", "--data", train_csv, "--grid", "5", "--out", model],
+        ["fit", "--data", train_csv, "--grid", "5", "--out", str(tmp_path / "m2.json")],
         ["simulate", "--grid", "5", "--out", str(tmp_path / "s.csv")],
         ["predict", "--model", model, "--data", train_csv, "--out", str(tmp_path / "p.csv")],
     ):
