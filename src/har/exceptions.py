@@ -102,9 +102,10 @@ class UnsupportedSizeError(HarError, ValueError):
 
 
 class SingularSystemError(HarError, RuntimeError):
-    """K + lambda I is not positive definite at the lambda asked for, so it
-    has no Cholesky factor. The message names lambda; no jitter is added, so
-    a model never solves a lambda other than the one it records."""
+    """K + lambda I is not positive definite at the lambda asked for: its
+    smallest eigenvalue w[0] + lambda is <= 0. The message names lambda; no
+    jitter is added, so a model never solves a lambda other than the one it
+    records."""
 
 
 class UndefinedScaleError(HarError, ValueError):

@@ -22,13 +22,10 @@ one Gram matrix per kernel candidate:
 (LAPACK dsyevd): eigmin(K) = w[0] sets lambda0, two matrix products give
 alpha and the inverse diagonal at every grid point, and the winner's alpha
 is its column of that product, so no second factorization is made.  `fit`,
-for an explicit lambda, makes one Cholesky factorization of K + lambda I
-and raises SingularSystemError if it fails, so a model's alpha always
-solves the lambda it records.
-
-scipy.linalg is imported by `fit` alone, on its first call, for the
-Cholesky factor and triangular solve numpy lacks; `import har`, `tune`,
-`predict` and the studies load numpy only.
+for an explicit lambda, and `loocv_errors` make the same eigendecomposition
+and the same products at their one lambda, so one rule, in `_loo_grid`,
+decides when K + lambda I is singular, and a model's alpha always solves
+the lambda it records.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 from numpy.linalg import eigh  # a name of this module, where the benchmark's tracer looks it up
 
 from .data import ScalingParams, write_json
@@ -76,22 +72,6 @@ RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
 _check_model_lambda = partial(_check_real, "lambda", low=0.0)
 
 
-# scipy.linalg's Cholesky factor and solve, imported on their first call;
-# they stay names of this module, where the benchmark's tracer looks them up
-
-
-def cho_factor(*args, **kwargs):
-    from scipy.linalg import cho_factor
-
-    return cho_factor(*args, **kwargs)
-
-
-def cho_solve(*args, **kwargs):
-    from scipy.linalg import cho_solve
-
-    return cho_solve(*args, **kwargs)
-
-
 @dataclass(frozen=True, eq=False)
 class FittedModel:
     """Everything needed to predict, and nothing else: knots, kernel,
@@ -122,8 +102,10 @@ def fit(
     gram: GramMatrix | None = None,
     threads: int | None = None,
 ) -> FittedModel:
-    """Solve (K + lambda I) alpha = y for the given kernel by one Cholesky
-    factorization; SingularSystemError if K + lambda I does not factor.
+    """Solve (K + lambda I) alpha = y for the given kernel on the
+    eigendecomposition `tune` makes, numpy.linalg.eigh of the Gram, through
+    `_loo_grid` at the one lambda; SingularSystemError if K + lambda I is
+    not positive definite.
 
     A precomputed ``gram`` is accepted to avoid rebuilding (its provenance
     must match the knots and spec).  ``scaling`` is carried on the model for
@@ -139,18 +121,11 @@ def fit(
             raise InvalidParameterError("gram was built from different knots")
         if gram.spec != spec:
             raise InvalidParameterError("gram was built for a different kernel spec")
-    A = np.array(gram.values, copy=True)
-    A[np.diag_indices_from(A)] += lam
-    try:
-        # scipy's finiteness check stays: K + lambda I can overflow where K did not
-        factor = cho_factor(A, lower=True)
-    except LinAlgError:
-        raise SingularSystemError(f"K + lambda I is not positive definite at lambda={lam:g}") from None
+    w, V = eigh(gram.values)
+    alpha = _loo_grid(w, V, yv, np.array([lam]))[0][:, 0]
     if scaling is None:
         scaling = ScalingParams.identity(knots.p)
-    return FittedModel(
-        knots=knots, spec=spec, lam=lam, alpha=cho_solve(factor, yv), scaling=scaling
-    )
+    return FittedModel(knots=knots, spec=spec, lam=lam, alpha=alpha, scaling=scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +379,8 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     knots' fingerprint.  Keys outside the prediction inputs, such as the
     ``y_stats`` older builds wrote, are ignored."""
     version = doc.get("format_version")
-    if version not in (1, 2, MODEL_FORMAT_VERSION):
+    # a JSON integer only: true == 1 and 1.0 == 1 in Python
+    if type(version) is not int or version not in (1, 2, MODEL_FORMAT_VERSION):
         raise SchemaError(
             f"unsupported model format version {version!r}; this build reads "
             f"versions 1 to {MODEL_FORMAT_VERSION}"

@@ -701,27 +701,31 @@ def _fresh_interpreter(code: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-_LOADS_SCIPY_LINALG = "import json, sys; print(json.dumps('scipy.linalg' in sys.modules))"
+_LOADS_SCIPY = "import json, sys; print(json.dumps('scipy' in sys.modules))"
 
 
-def test_import_har_loads_no_scipy_linalg():
-    assert _fresh_interpreter("import har\n" + _LOADS_SCIPY_LINALG) is False
+def test_import_har_loads_no_scipy():
+    assert _fresh_interpreter("import har\n" + _LOADS_SCIPY) is False
 
 
-def test_fit_simulate_and_predict_load_no_scipy_linalg_and_library_fit_does(train_csv, tmp_path, capsys):
+def test_fit_simulate_predict_and_every_library_solve_load_no_scipy(train_csv, tmp_path, capsys):
     model = str(tmp_path / "m.json")
     code, summary, _ = run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
     assert code == EXIT_OK and summary["kernel"] == {"family": "har", "order": 0, "bandwidth": None}
-    run = "import json, sys; from har.cli import main; print(json.dumps([main({argv!r}), 'scipy.linalg' in sys.modules]))"
+    run = "import json, sys; from har.cli import main; print(json.dumps([main({argv!r}), 'scipy' in sys.modules]))"
     for argv in (
         ["fit", "--data", train_csv, "--grid", "5", "--out", str(tmp_path / "m2.json")],
         ["simulate", "--grid", "5", "--out", str(tmp_path / "s.csv")],
         ["predict", "--model", model, "--data", train_csv, "--out", str(tmp_path / "p.csv")],
     ):
         assert _fresh_interpreter(run.format(argv=argv)) == [EXIT_OK, False], argv[0]
-    # the Cholesky import is deferred to the library's fit, not lost
-    fit = (
-        "from har.kernels import DesignMatrix, KernelSpec; from har.solver import fit; "
-        "fit(DesignMatrix([[0.5]]), [1.0], KernelSpec.har(0), 1.0)\n"
+    # the library's explicit-lambda solve shares tune's eigendecomposition
+    solves = (
+        "from har.kernels import DesignMatrix, KernelSpec, gram_matrix\n"
+        "from har.solver import fit, lambda_max, loocv_errors, tune\n"
+        "knots, y, spec = DesignMatrix([[0.2], [0.7]]), [1.0, 2.0], KernelSpec.har(0)\n"
+        "gram = gram_matrix(knots, spec)\n"
+        "fit(knots, y, spec, 1.0); tune(knots, y, 'har', grid_count=3)\n"
+        "loocv_errors(gram, y, 1.0); lambda_max(gram, y)\n"
     )
-    assert _fresh_interpreter(fit + _LOADS_SCIPY_LINALG) is True
+    assert _fresh_interpreter(solves + _LOADS_SCIPY) is False

@@ -92,13 +92,15 @@ def test_fit_linear_in_y():
     assert np.allclose(predict(m2, test), 4.0 * predict(m1, test), rtol=1e-12)
 
 
-def test_duplicate_knots_at_lambda_zero_raise_naming_lambda():
+@pytest.mark.parametrize("copies", [2, 3])
+def test_duplicate_knots_at_lambda_zero_raise_naming_lambda(copies):
     # identical rows make K exactly singular, and fit solves only the lambda
-    # it was given.  Three rows, not two: the 2 x 2 all-8 Gram of a
-    # duplicated pair factors, as rounding leaves its last pivot at 4e-8.
-    knots = DesignMatrix(np.array([[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]]))
+    # it was given: eigh puts the smallest eigenvalue of the constant Gram
+    # (every entry 4 * copies) at or just below zero, exactly 0.0 for two
+    # copies and about -7e-15 for three, so w[0] + 0 <= 0 and no alpha is formed
+    knots = DesignMatrix(np.tile([[0.4, 0.6]], (copies, 1)))
     with pytest.raises(SingularSystemError, match="lambda=0"):
-        fit(knots, [1.0, 1.0, 1.0], T0, 0.0)
+        fit(knots, np.ones(copies), T0, 0.0)
 
 
 def test_well_conditioned_fit_warns_nothing():
@@ -576,8 +578,10 @@ def test_tune_matches_per_lambda_loo_and_fit(family, order, n):
         assert result.scores[i] == pytest.approx(score, rel=1e-12, abs=0.0)
     spec, lam = result.winner
     assert model.spec == spec and model.lam == lam
-    ref = fit(knots, y, spec, lam, gram=grams[spec]).alpha
-    assert np.linalg.norm(model.alpha - ref) <= 1e-8 * np.linalg.norm(ref)
+    # fit and tune share one eigendecomposition, so the reference is an LU solve
+    ref = np.linalg.solve(grams[spec].values + lam * np.eye(n), y)
+    for alpha in (model.alpha, fit(knots, y, spec, lam, gram=grams[spec]).alpha):
+        assert np.linalg.norm(alpha - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def _tune_on_scipy_eigh(knots, y, family, order, threads):
@@ -877,6 +881,11 @@ def test_model_file_version_and_keys(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_model(bad)
+    # true == 1 and 1.0 == 1 in Python; only a JSON integer names a version
+    for version in (True, 1.0, 3.0, "3"):
+        bad.write_text(json.dumps(dict(model_to_dict(model), format_version=version)))
+        with pytest.raises(SchemaError, match="unsupported model format version"):
+            load_model(bad)
     for key in ("alpha", "model_fingerprint"):
         doc = model_to_dict(model)
         del doc[key]
