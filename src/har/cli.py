@@ -253,11 +253,6 @@ def cmd_predict(cfg: dict) -> dict:
     header, rows, dropped = table
 
     feature_names = metadata.get("feature_names")
-    names_ok = feature_names is None or (
-        isinstance(feature_names, list) and all(isinstance(name, str) for name in feature_names)
-    )
-    if not names_ok:
-        raise SchemaError(f"{cfg['model']}: metadata feature_names is not a list of column names")
     target_name = metadata.get("target_name")
     if feature_names:
         missing = [name for name in feature_names if name not in header]
@@ -302,6 +297,8 @@ def _run_study(cfg: dict, run, fields) -> dict:
     JSON twin (whose ``config`` block is the runner's own record), and
     summarize it with `fields` of that same twin."""
     out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
+    if os.path.realpath(out_json) == os.path.realpath(cfg["out"]):
+        raise UsageError(f"--out and --out-json name one file, {cfg['out']}")
     report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
     document = report.document()
     write_table(cfg["out"], *report.table())

@@ -2,9 +2,8 @@
 
 `read_table` parses a headed CSV and `write_table` writes one with every
 float as its ``repr``.  `write_predictions` writes what `read_table` read
-plus a prediction column, copying each kept row line as written when
-`np.loadtxt` parsed the body; `_row_lines` alone decides which body lines
-are rows, for both.
+plus a prediction column, copying each kept row line as written;
+`_row_lines` alone decides which body lines are rows, for both.
 
 All randomness in the package flows through `rng_from`: one 64-bit master
 seed plus a structured key yields an independent PCG64 stream, so every
@@ -19,7 +18,7 @@ import json
 import math
 import os
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 
@@ -101,8 +100,7 @@ class Dataset:
 class _Table(tuple):
     """What `read_table` returns: the tuple (header, rows, dropped), which also
     records, for `write_predictions`, the file it came from and `kept`, the
-    row filter's mask over the body's row lines when np.loadtxt parsed the
-    body (None when the per-cell loop did)."""
+    row filter's mask over the body's row lines."""
 
     def __new__(cls, header, rows, dropped, source, kept):
         table = super().__new__(cls, (header, rows, dropped))
@@ -119,44 +117,42 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
     does a file that is not UTF-8 text (a leading byte-order mark is skipped).
     The row array may have zero rows (header-only file).
 
-    The body is parsed by one `np.loadtxt` call when it can be, one row per
-    row line (`_row_lines`: every line not empty once its line end is
-    stripped); any body that call rejects (a blank, quoted or otherwise
-    unusual cell, a whitespace-only line, a ragged row, no row line) is
-    parsed cell by cell instead, and that loop alone decides every message.
-    Every cell `np.loadtxt` accepts, Python ``float`` parses to the same
-    value, so both give the same rows.  Either parser keeps non-finite cells;
-    one row filter after both drops and counts their rows.  The returned
-    tuple also carries what `write_predictions` needs to copy the kept row
-    lines: the path and that filter's mask.
+    Each row line (`_row_lines`: every line not empty once its line end is
+    stripped) is one row.  The body is parsed by one `np.loadtxt` call when it
+    can be; any body that call rejects (a blank, quoted or otherwise unusual
+    cell, a whitespace-only line, a ragged row, no row line) is parsed cell by
+    cell instead, the same row lines one at a time, and that loop alone
+    decides every message.  Every cell `np.loadtxt` accepts, Python ``float``
+    parses to the same value, so both give the same rows.  Either parser keeps
+    non-finite cells; one row filter after both drops and counts their rows.
+    The returned tuple also carries what `write_predictions` needs to copy the
+    kept row lines: the path and that filter's mask.
     """
-    with _opened(path) as (fh, header, reader):
+    with _opened(path) as (fh, header):
         body = fh.tell()
         rows = _loadtxt_body(fh, len(header))
-        bulk = rows is not None
-        if not bulk:
+        if rows is None:
             fh.seek(body)
-            rows = _parse_cells(path, header, reader)
+            rows = _parse_cells(path, header, fh)
     finite = np.isfinite(rows).all(axis=1)
     dropped = rows.shape[0] - int(np.count_nonzero(finite))
     if dropped:
         rows = rows[finite]
         warnings.warn(f"{path}: dropped {dropped} rows with missing or non-finite cells")
-    return _Table(header, rows, dropped, path, finite if bulk else None)
+    return _Table(header, rows, dropped, path, finite)
 
 
 @contextmanager
 def _opened(path):
-    """`path` opened for reading with its header row read and checked: yields
-    (file at the first body line, column names, csv reader over the rest).
-    A leading byte-order mark is skipped, line ends are kept for `_row_lines`,
-    and text that is not UTF-8 is a SchemaError naming the file."""
+    """`path` opened for reading with its header row read by `csv` and
+    checked: yields (file at the first body line, column names).  A leading
+    byte-order mark is skipped, line ends are kept for `_row_lines`, and text
+    that is not UTF-8 is a SchemaError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             # lines pulled by readline, not by iteration, keep fh.tell() usable
-            reader = csv.reader(iter(fh.readline, ""))
             try:
-                header = next(reader)
+                header = next(csv.reader(iter(fh.readline, "")))
             except StopIteration:
                 raise SchemaError(f"{path}: empty file, expected a header row") from None
             header = [name.strip() for name in header]
@@ -164,17 +160,17 @@ def _opened(path):
                 raise SchemaError(f"{path}: blank column name in header")
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate column names in header")
-            yield fh, header, reader
+            yield fh, header
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _row_lines(fh):
-    """The row lines from `fh`'s position on, line ends stripped: every line
-    not empty once ``\\r\\n`` is stripped, in order.  The one owner of which
-    body lines are rows: `_loadtxt_body` parses exactly these, one row each,
-    and `write_predictions` copies them."""
-    for line in iter(fh.readline, ""):
+def _row_lines(readline):
+    """The row lines `readline` returns from here on, line ends stripped:
+    every line not empty once ``\\r\\n`` is stripped, in order.  The one owner
+    of which body lines are rows: `_loadtxt_body` and `_parse_cells` parse
+    exactly these, one row each, and `write_predictions` copies them."""
+    for line in iter(readline, ""):
         line = line.rstrip("\r\n")
         if line:
             yield line
@@ -184,7 +180,7 @@ def _loadtxt_body(fh, width: int) -> np.ndarray | None:
     """The rest of `fh` as one (rows, width) array, one row per row line,
     non-finite cells kept, or None when `np.loadtxt` rejects it, gives
     another width or would see no row line (it warns on those)."""
-    lines = _row_lines(fh)
+    lines = _row_lines(fh.readline)
     first = next(lines, None)
     if first is None:
         return None
@@ -196,15 +192,25 @@ def _loadtxt_body(fh, width: int) -> np.ndarray | None:
     return rows if rows.shape[1] == width else None
 
 
-def _parse_cells(path, header: list, reader) -> np.ndarray:
-    """The body's rows, one ``float`` call per cell, a blank cell as NaN and
-    other non-finite cells kept; the owner of every body error message and
-    line number."""
+def _parse_cells(path, header: list, fh) -> np.ndarray:
+    """The rest of `fh` as rows, each row line split by `csv` on its own, one
+    ``float`` call per cell, a blank cell as NaN and other non-finite cells
+    kept; the owner of every body error message and line number."""
     width = len(header)
+    lineno = 1  # the line `readline` read last, the header being line 1
+
+    def readline():
+        nonlocal lineno
+        lineno += 1
+        return fh.readline()
+
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue  # trailing blank line
+    for line in _row_lines(readline):
+        # a quote left open at the line's end reads on into the empty second line
+        reader = csv.reader([line, ""])
+        row = next(reader)
+        if reader.line_num != 1:
+            raise SchemaError(f"{path}:{lineno}: a quoted cell is not closed on its line")
         if len(row) != width:
             raise SchemaError(
                 f"{path}:{lineno}: expected {width} cells, got {len(row)}"
@@ -231,55 +237,52 @@ def write_table(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if not isinstance(rows, np.ndarray):
-            writer.writerows(rows)
-            return
-        # the lines csv writes for rows of Python floats, which it never quotes
-        # and writes as str, their repr; a block at a time, so a large table
-        # never exists as Python objects all at once
-        for start in range(0, rows.shape[0], 1024):
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows[start:start + 1024].tolist()]))
+        writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
 
 
 def write_predictions(path, table, column: str, preds) -> None:
     """Write `table`, as `read_table` returned it, plus a last `column` of
-    `preds` (one per kept row, each as its ``repr``): ``\\n`` line ends, the
-    header csv-quoted as `write_table` does.
+    `preds` (one per kept row, each as its ``repr``), with ``\\n`` line ends:
+    the header csv-quoted as `write_table` does, then each kept row line as
+    written, line end stripped, so cells keep their spelling; `read_table`'s
+    row filter mask skips the dropped ones.
 
-    A body `np.loadtxt` parsed is copied: each kept row line as written, line
-    end stripped, so cells keep their spelling; `read_table`'s row filter
-    mask skips the dropped ones.  The file is re-read 1024 row lines at a
-    time, so no copy of its text is held, and a changed header or count of
-    row lines is a SchemaError naming it.  A body the per-cell loop parsed,
-    or an output path that is the input itself, is re-printed by
-    `write_table`.  Cells that are ``repr`` spellings give the same bytes
-    either way.
+    The input is re-read 1024 row lines at a time, so no copy of its text is
+    held, and a changed header or count of row lines is a SchemaError naming
+    it.  The output is written to ``<path>.partial`` beside `path` (the file
+    a symlink names) and moved over `path` only once complete, so `path` may
+    be the input itself, and a failed write leaves `path` as it was and no
+    partial file.
     """
     header, rows, _ = table
     preds = np.asarray(preds, dtype=np.float64)
     if preds.shape != (rows.shape[0],):
         raise DimensionMismatchError(f"{preds.shape} predictions for {rows.shape[0]} kept rows")
-    names = [*header, column]
-    if table.kept is None or _same_file(path, table.source):
-        write_table(path, names, np.column_stack([rows, preds]))
-        return
     changed = SchemaError(
         f"{table.source}: changed since it was read: expected its header and "
         f"{table.kept.shape[0]} row lines"
     )
-    with _opened(table.source) as (src, header_now, _), open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_now != header:
-            raise changed
-        csv.writer(fh, lineterminator="\n").writerow(names)
-        lines = _row_lines(src)
-        done = 0
-        for start in range(0, table.kept.shape[0], 1024):
-            mask = table.kept[start:start + 1024]
-            count = int(np.count_nonzero(mask))
-            fh.write("".join(_copied_lines(lines, mask.tolist(), preds[done:done + count].tolist(), changed)))
-            done += count
-        if next(lines, None) is not None:
-            raise changed
+    path = os.path.realpath(path)  # a symlink keeps pointing at the output
+    partial = f"{path}.partial"
+    try:
+        with _opened(table.source) as (src, header_now), open(partial, "w", encoding="utf-8", newline="") as fh:
+            if header_now != header:
+                raise changed
+            csv.writer(fh, lineterminator="\n").writerow([*header, column])
+            lines = _row_lines(src.readline)
+            done = 0
+            for start in range(0, table.kept.shape[0], 1024):
+                mask = table.kept[start:start + 1024]
+                count = int(np.count_nonzero(mask))
+                fh.write("".join(_copied_lines(lines, mask.tolist(), preds[done:done + count].tolist(), changed)))
+                done += count
+            if next(lines, None) is not None:
+                raise changed
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _copied_lines(lines, mask: list, preds: list, changed: Exception) -> list:
@@ -290,13 +293,6 @@ def _copied_lines(lines, mask: list, preds: list, changed: Exception) -> list:
     if len(block) != len(mask):
         raise changed
     return [f"{line},{value!r}\n" for line, value in zip(compress(block, mask), preds)]
-
-
-def _same_file(a, b) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # the output does not exist yet
-        return False
 
 
 def write_json(path, doc) -> None:

@@ -340,10 +340,25 @@ def _model_fingerprint(model: FittedModel, feature_names: list | None = None) ->
     return h.hexdigest()
 
 
+def _check_feature_names(names, p: int) -> None:
+    """The one rule for ``metadata.feature_names``, the columns ``har
+    predict`` selects its inputs by: absent (None), or a list of exactly `p`
+    distinct strings."""
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(name, str) for name in names)
+        and len(names) == len(set(names)) == p
+    ):
+        raise SchemaError(
+            f"model file key 'metadata.feature_names' must be a list of {p} "
+            f"distinct column names, got {names!r}"
+        )
+
+
 def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
     """Versioned JSON-ready form.  Floats survive exactly: json uses repr,
     the shortest decimal that round-trips to the same double."""
     metadata = dict(metadata) if metadata else {}
+    _check_feature_names(metadata.get("feature_names"), model.knots.p)
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "kernel": model.spec.to_dict(),
@@ -376,8 +391,9 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     """Version 3 files must match their fingerprint of every prediction
     input, ``metadata.feature_names`` included; version 2 files fingerprint
     the same inputs without the names, and version 1 files carry only the
-    knots' fingerprint.  Keys outside the prediction inputs, such as the
-    ``y_stats`` older builds wrote, are ignored."""
+    knots' fingerprint.  In every version ``metadata.feature_names`` must
+    then pass `_check_feature_names`.  Keys outside the prediction inputs,
+    such as the ``y_stats`` older builds wrote, are ignored."""
     version = doc.get("format_version")
     # a JSON integer only: true == 1 and 1.0 == 1 in Python
     if type(version) is not int or version not in (1, 2, MODEL_FORMAT_VERSION):
@@ -410,6 +426,7 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
             "model fingerprint mismatch: kernel, lambda, scaling, knots, "
             "alpha or metadata feature_names was edited"
         )
+    _check_feature_names(metadata.get("feature_names"), knots.p)
     return model, metadata
 
 

@@ -189,9 +189,15 @@ def test_predict_rejects_an_input_changed_before_the_write(train_csv, tmp_path, 
             fh.write("0.5,0.5,0.5\n")
 
     _spy_predict(monkeypatch, append_a_row)
-    code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
-    assert code == EXIT_RUNTIME and summary["error"]["type"] == "SchemaError"
-    assert summary["error"]["message"].startswith(f"{data}: changed since it was read")
+    # no --out file, then one that must keep its bytes; no partial file either way
+    for before in (None, b"kept\n"):
+        if before is not None:
+            out.write_bytes(before)
+        code, summary, _ = run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(out))
+        assert code == EXIT_RUNTIME and summary["error"]["type"] == "SchemaError"
+        assert summary["error"]["message"].startswith(f"{data}: changed since it was read")
+        assert (out.read_bytes() if out.exists() else None) == before
+        assert not list(tmp_path.glob("*.partial"))
 
 
 def test_predict_can_write_over_its_own_input(train_csv, tmp_path, capsys):
@@ -587,6 +593,15 @@ def test_simulate_derives_json_path(tmp_path, capsys):
     # a .json --out keeps its name for the table, so the record takes a longer one
     code, summary, _ = run_cli(capsys, "simulate", "--seed", "1", "--grid", "5", "--out", str(tmp_path / "r.json"))
     assert code == EXIT_OK and summary["out_json"] == str(tmp_path / "r.json.config.json")
+
+
+def test_out_json_naming_the_out_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, summary, _ = run_cli(
+        capsys, "simulate", "--seed", "1", "--grid", "5", "--out", str(out), "--out-json", str(tmp_path / "." / "s.csv"),
+    )
+    assert code == EXIT_USAGE and summary["error"]["type"] == "UsageError"
+    assert "--out-json" in summary["error"]["message"] and not out.exists()
 
 
 def test_convergence_subcommand(tmp_path, capsys):

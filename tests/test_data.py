@@ -203,7 +203,7 @@ def test_write_table_array_bytes_match_csv_writer(tmp_path):
         [-0.0, float("nan"), float("inf")],
         [-float("inf"), 5e-324, 1e16],
         [0.1 + 0.2, 1.0, -2.5],
-        *rng_from(3, "write").uniform(-1e3, 1e3, size=(2100, 3)),  # spans three 1024-row blocks
+        *rng_from(3, "write").uniform(-1e3, 1e3, size=(2100, 3)),
     ])
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
@@ -269,13 +269,29 @@ def test_write_predictions_writes_lf_without_bom_and_skips_blank_lines(tmp_path)
 
 
 @pytest.mark.parametrize("body", ['"2",3\n4,5\n', "2,\n4,5\n6,7\n"], ids=["quoted cell", "blank cell"])
-def test_write_predictions_reprints_a_per_cell_body(tmp_path, body):
-    src, out, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
+def test_write_predictions_copies_a_per_cell_body(tmp_path, body):
+    # bodies np.loadtxt rejects: their kept lines are copied all the same
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("a,b\n" + body)
     table, preds = _write_predictions_outcome(src, out)
-    assert table.kept is None
-    write_table(ref, table[0] + ["prediction"], np.column_stack([table[1], preds]))
-    assert out.read_bytes() == ref.read_bytes()
+    kept = [line for line in body.splitlines() if not line.endswith(",")]
+    assert out.read_text() == "a,b,prediction\n" + "".join(f"{line},{p!r}\n" for line, p in zip(kept, preds.tolist()))
+    header, rows, dropped = read_table(out)
+    assert header == ["a", "b", "prediction"] and dropped == 0
+    assert np.array_equal(rows, np.column_stack([table[1], preds]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['a,b\n1,2\n\n"3\n4",5\n', 'a,b\n1,2\n\n3,"4\n5"\n', 'a,b\n1,2\n\n3,"4\n",5\n', 'a\n1\n\n"3\n"\n'],
+    ids=["first cell", "last cell", "cells on both lines", "one column"],
+)
+def test_a_quoted_cell_across_a_line_break_is_rejected(tmp_path, text):
+    # each row line is one row, so a quote must close on the line that opens it
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=r"in\.csv:4: a quoted cell is not closed on its line"):
+        read_table(path)
 
 
 @pytest.mark.parametrize("edit", ["append", "drop", "header"])
@@ -291,15 +307,25 @@ def test_write_predictions_rejects_a_file_changed_since_it_was_read(tmp_path, ed
     }[edit])
     with pytest.raises(SchemaError, match="changed since it was read"):
         data.write_predictions(out, table, "prediction", np.zeros(1500))
+    assert list(tmp_path.iterdir()) == [src]
 
 
-def test_write_predictions_to_its_own_input_reprints(tmp_path):
-    src, ref = tmp_path / "in.csv", tmp_path / "ref.csv"
-    src.write_text("a,b\n1,0.10\n2,3\n")
+def test_write_predictions_to_its_own_input_copies(tmp_path):
+    src = tmp_path / "in.csv"
+    src.write_text("a,b\n1,0.10\n\n2,3\n")
     table = read_table(src)
-    write_table(ref, ["a", "b", "prediction"], np.column_stack([table[1], [0.5, 1.5]]))
     data.write_predictions(src, table, "prediction", np.array([0.5, 1.5]))
-    assert src.read_bytes() == ref.read_bytes()
+    assert src.read_text() == "a,b,prediction\n1,0.10,0.5\n2,3,1.5\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_write_predictions_writes_through_a_symlink(tmp_path):
+    src, target, link = tmp_path / "in.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    src.write_text("a,b\n1,2\n")
+    target.write_text("old\n")
+    link.symlink_to(target)
+    data.write_predictions(link, read_table(src), "prediction", np.array([0.5]))
+    assert link.is_symlink() and target.read_text() == "a,b,prediction\n1,2,0.5\n"
 
 
 @pytest.mark.parametrize("preds", [[0.5], [0.5, 1.5, 2.5], [[0.5, 1.5]]], ids=["short", "one per line", "2-D"])

@@ -35,6 +35,7 @@ from har.solver import (
     _lambda0,
     _loo_grid,
     _max_row_norm,
+    _model_fingerprint,
     eigh,
     fit,
     lambda_grid,
@@ -835,9 +836,23 @@ def test_model_file_edit_of_feature_names_rejected(tmp_path, names):
         load_model(file)
 
 
+@pytest.mark.parametrize("names", [["u", "u"], ["u"], "uv", 5], ids=["duplicate", "short", "text", "number"])
+def test_feature_names_that_do_not_name_each_column_once_are_rejected(names):
+    rng = rng_from(54, "solver", "bad-names")
+    model = fit(DesignMatrix(rng.uniform(size=(6, 2))), rng.standard_normal(6), T0, 0.5)
+    message = r"'metadata\.feature_names' must be a list of 2 distinct column names"
+    with pytest.raises(SchemaError, match=message):
+        model_to_dict(model, {"feature_names": names})
+    doc = dict(model_to_dict(model), metadata={"feature_names": names})
+    # version 2 does not fingerprint the names; a version 3 file fingerprinted with them
+    for version, fingerprint in ((2, doc["model_fingerprint"]), (3, _model_fingerprint(model, names))):
+        with pytest.raises(SchemaError, match=message):
+            model_from_dict(dict(doc, format_version=version, model_fingerprint=fingerprint))
+
+
 def test_version_2_model_file_loads_without_checking_feature_names():
     # a document as version 2 wrote it, fingerprint included: the names were
-    # not fingerprinted, so they stay unchecked until the model is re-fitted
+    # not fingerprinted, so a reorder stays unnoticed until the model is re-fitted
     scaling = ScalingParams(mins=np.array([0.0, -1.0]), maxs=np.array([2.0, 1.0]))
     model = FittedModel(
         knots=DesignMatrix(np.array([[0.25, 0.5], [0.75, 0.125], [0.5, 1.0]])),
