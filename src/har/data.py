@@ -20,7 +20,7 @@ import os
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain
 
 import numpy as np
 
@@ -144,17 +144,21 @@ def read_table(path) -> tuple[list, np.ndarray, int]:
 
 @contextmanager
 def _opened(path):
-    """`path` opened for reading with its header row read by `csv` and
-    checked: yields (file at the first body line, column names).  A leading
-    byte-order mark is skipped, line ends are kept for `_row_lines`, and text
-    that is not UTF-8 is a SchemaError naming the file."""
+    """`path` opened for reading with its header row read by strict `csv`
+    and checked: yields (file at the first body line, column names).  A
+    leading byte-order mark is skipped, line ends are kept for `_row_lines`,
+    and text that is not UTF-8 is a SchemaError naming the file, as is
+    malformed quoting, naming the line too."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             # lines pulled by readline, not by iteration, keep fh.tell() usable
+            reader = csv.reader(iter(fh.readline, ""), strict=True)
             try:
-                header = next(csv.reader(iter(fh.readline, "")))
+                header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: empty file, expected a header row") from None
+            except csv.Error as exc:
+                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
             header = [name.strip() for name in header]
             if any(not name for name in header):
                 raise SchemaError(f"{path}: blank column name in header")
@@ -193,9 +197,10 @@ def _loadtxt_body(fh, width: int) -> np.ndarray | None:
 
 
 def _parse_cells(path, header: list, fh) -> np.ndarray:
-    """The rest of `fh` as rows, each row line split by `csv` on its own, one
-    ``float`` call per cell, a blank cell as NaN and other non-finite cells
-    kept; the owner of every body error message and line number."""
+    """The rest of `fh` as rows, each row line split by strict `csv` on its
+    own, one ``float`` call per cell, a blank cell as NaN and other
+    non-finite cells kept; the owner of every body error message and line
+    number.  Text after a closing quote is an error, not part of the cell."""
     width = len(header)
     lineno = 1  # the line `readline` read last, the header being line 1
 
@@ -207,10 +212,12 @@ def _parse_cells(path, header: list, fh) -> np.ndarray:
     rows = []
     for line in _row_lines(readline):
         # a quote left open at the line's end reads on into the empty second line
-        reader = csv.reader([line, ""])
-        row = next(reader)
-        if reader.line_num != 1:
-            raise SchemaError(f"{path}:{lineno}: a quoted cell is not closed on its line")
+        reader = csv.reader([line, ""], strict=True)
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            fault = exc if reader.line_num == 1 else "a quoted cell is not closed on its line"
+            raise SchemaError(f"{path}:{lineno}: {fault}") from None
         if len(row) != width:
             raise SchemaError(
                 f"{path}:{lineno}: expected {width} cells, got {len(row)}"
@@ -247,7 +254,7 @@ def write_predictions(path, table, column: str, preds) -> None:
     written, line end stripped, so cells keep their spelling; `read_table`'s
     row filter mask skips the dropped ones.
 
-    The input is re-read 1024 row lines at a time, so no copy of its text is
+    The input is re-read one row line at a time, so no copy of its text is
     held, and a changed header or count of row lines is a SchemaError naming
     it.  The output is written to ``<path>.partial`` beside `path` (the file
     a symlink names) and moved over `path` only once complete, so `path` may
@@ -269,13 +276,13 @@ def write_predictions(path, table, column: str, preds) -> None:
             if header_now != header:
                 raise changed
             csv.writer(fh, lineterminator="\n").writerow([*header, column])
-            lines = _row_lines(src.readline)
-            done = 0
-            for start in range(0, table.kept.shape[0], 1024):
-                mask = table.kept[start:start + 1024]
-                count = int(np.count_nonzero(mask))
-                fh.write("".join(_copied_lines(lines, mask.tolist(), preds[done:done + count].tolist(), changed)))
-                done += count
+            lines, values = _row_lines(src.readline), iter(preds.tolist())
+            for keep in table.kept.tolist():
+                line = next(lines, None)
+                if line is None:
+                    raise changed
+                if keep:
+                    fh.write(f"{line},{next(values)!r}\n")
             if next(lines, None) is not None:
                 raise changed
         os.replace(partial, path)
@@ -283,16 +290,6 @@ def write_predictions(path, table, column: str, preds) -> None:
         with suppress(FileNotFoundError):
             os.remove(partial)
         raise
-
-
-def _copied_lines(lines, mask: list, preds: list, changed: Exception) -> list:
-    """The next ``len(mask)`` row lines, those `mask` keeps each followed by
-    its prediction; raises `changed` when fewer are left.  A function of its
-    own so that the input block is freed before its output is joined."""
-    block = list(islice(lines, len(mask)))
-    if len(block) != len(mask):
-        raise changed
-    return [f"{line},{value!r}\n" for line, value in zip(compress(block, mask), preds)]
 
 
 def write_json(path, doc) -> None:

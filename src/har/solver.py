@@ -329,7 +329,7 @@ def tune(
 def _model_fingerprint(model: FittedModel, feature_names: list | None = None) -> str:
     """sha256 over everything that changes predictions: kernel, lambda,
     scaling, knots and alpha, and the column names ``har predict`` selects
-    its inputs by, when the file records them (format 3 on)."""
+    its inputs by, when the file records them."""
     h = hashlib.sha256()
     h.update(json.dumps(model.spec.to_dict(), sort_keys=True).encode())
     h.update(model.knots.fingerprint.encode())
@@ -380,7 +380,7 @@ def _read(doc: dict, key: str, convert):
     """convert(doc[key]); a value of the wrong type or shape is a SchemaError
     naming the key, while the package's own errors keep their classes."""
     try:
-        return convert(doc.get(key, {}))
+        return convert(doc[key])
     except HarError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -388,21 +388,21 @@ def _read(doc: dict, key: str, convert):
 
 
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
-    """Version 3 files must match their fingerprint of every prediction
-    input, ``metadata.feature_names`` included; version 2 files fingerprint
-    the same inputs without the names, and version 1 files carry only the
-    knots' fingerprint.  In every version ``metadata.feature_names`` must
-    then pass `_check_feature_names`.  Keys outside the prediction inputs,
-    such as the ``y_stats`` older builds wrote, are ignored."""
+    """The model a format `MODEL_FORMAT_VERSION` document holds, which must
+    match its fingerprint of every prediction input, ``metadata.feature_names``
+    included, and whose names must then pass `_check_feature_names`.  Any
+    other format version fails to load: a prediction input that joins the
+    fingerprint bumps the version, so an older file cannot prove it is
+    unedited, and the fix is to re-fit the model.  Keys outside the
+    prediction inputs are ignored."""
     version = doc.get("format_version")
     # a JSON integer only: true == 1 and 1.0 == 1 in Python
-    if type(version) is not int or version not in (1, 2, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise SchemaError(
             f"unsupported model format version {version!r}; this build reads "
-            f"versions 1 to {MODEL_FORMAT_VERSION}"
+            f"version {MODEL_FORMAT_VERSION} only: re-fit the model"
         )
-    required = ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint")
-    for key in required + (("model_fingerprint",) if version > 1 else ()):
+    for key in ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint", "model_fingerprint"):
         if key not in doc:
             raise SchemaError(f"model file is missing required key {key!r}")
     knots = _read(doc, "knots", lambda v: DesignMatrix(np.asarray(v, dtype=np.float64)))
@@ -420,8 +420,7 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
         alpha=_read(doc, "alpha", lambda v: np.asarray(v, dtype=np.float64)),
         scaling=_read(doc, "scaling", ScalingParams.from_dict),
     )
-    names = metadata.get("feature_names") if version == 3 else None
-    if version > 1 and _model_fingerprint(model, names) != doc["model_fingerprint"]:
+    if _model_fingerprint(model, metadata.get("feature_names")) != doc["model_fingerprint"]:
         raise SchemaError(
             "model fingerprint mismatch: kernel, lambda, scaling, knots, "
             "alpha or metadata feature_names was edited"

@@ -232,7 +232,7 @@ def _write_predictions_outcome(path, out):
 
 def test_write_predictions_of_a_write_table_file_matches_the_reprint(tmp_path):
     header = ["a", "b,c", "y"]
-    rows = rng_from(5, "copy").uniform(-1e3, 1e3, size=(2100, 3))  # spans three 1024-line blocks
+    rows = rng_from(5, "copy").uniform(-1e3, 1e3, size=(2100, 3))  # over 2000 row lines
     rows[[3, 1023, 1024, 2099], [0, 1, 2, 0]] = [np.nan, np.inf, -np.inf, np.nan]
     rows[7] = [-0.0, 5e-324, 1e16]
     src, out, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
@@ -294,6 +294,19 @@ def test_a_quoted_cell_across_a_line_break_is_rejected(tmp_path, text):
         read_table(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [('a,b\n1,2\n"2"5,3\n', 3), ('a,b\n1,2\n3,"4" \n', 3), ('"a"b,c\n1,2\n', 1)],
+    ids=["body cell", "body space after quote", "header cell"],
+)
+def test_text_after_a_closing_quote_is_rejected(tmp_path, text, line):
+    # not joined onto the cell: "2"5 is not 25, "a"b is not ab
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=rf"in\.csv:{line}: ',' expected after '\"'"):
+        read_table(path)
+
+
 @pytest.mark.parametrize("edit", ["append", "drop", "header"])
 def test_write_predictions_rejects_a_file_changed_since_it_was_read(tmp_path, edit):
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -342,7 +355,7 @@ def test_write_predictions_rejects_predictions_not_one_per_kept_row(tmp_path, pr
 
 def test_write_predictions_holds_no_copy_of_the_input(tmp_path):
     # the 20000 x 12 input is ~4.5 MB of text and its table 1.9 MB of floats;
-    # the writer holds one block of 1024 lines and their output at a time
+    # the writer holds one row line and its output at a time
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_table(src, [f"c{j}" for j in range(12)], rng_from(6, "copy-peak").uniform(size=(20000, 12)))
     assert src.stat().st_size > 4_000_000

@@ -796,25 +796,6 @@ def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change
         load_model(file)
 
 
-def test_version_1_model_file_still_loads(tmp_path):
-    rng = rng_from(50, "solver", "v1")
-    knots = DesignMatrix(rng.uniform(size=(12, 3)))
-    model = fit(knots, rng.standard_normal(12), KernelSpec.sobolev(), 0.2)
-    doc = model_to_dict(model)
-    doc["format_version"] = 1
-    del doc["model_fingerprint"]
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(doc))
-    loaded, _ = load_model(path)
-    test = DesignMatrix(rng.uniform(size=(7, 3)))
-    assert np.array_equal(predict(loaded, test), predict(model, test))
-    # version 1 checks the knots only
-    doc["knots"][0][0] = 0.123
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
-        load_model(path)
-
-
 @pytest.mark.parametrize(
     "names",
     [["v", "u"], ["u"], ["u", "v", "w"], None],
@@ -843,35 +824,10 @@ def test_feature_names_that_do_not_name_each_column_once_are_rejected(names):
     message = r"'metadata\.feature_names' must be a list of 2 distinct column names"
     with pytest.raises(SchemaError, match=message):
         model_to_dict(model, {"feature_names": names})
+    # a file fingerprinted with them, so only the names rule can reject it
     doc = dict(model_to_dict(model), metadata={"feature_names": names})
-    # version 2 does not fingerprint the names; a version 3 file fingerprinted with them
-    for version, fingerprint in ((2, doc["model_fingerprint"]), (3, _model_fingerprint(model, names))):
-        with pytest.raises(SchemaError, match=message):
-            model_from_dict(dict(doc, format_version=version, model_fingerprint=fingerprint))
-
-
-def test_version_2_model_file_loads_without_checking_feature_names():
-    # a document as version 2 wrote it, fingerprint included: the names were
-    # not fingerprinted, so a reorder stays unnoticed until the model is re-fitted
-    scaling = ScalingParams(mins=np.array([0.0, -1.0]), maxs=np.array([2.0, 1.0]))
-    model = FittedModel(
-        knots=DesignMatrix(np.array([[0.25, 0.5], [0.75, 0.125], [0.5, 1.0]])),
-        spec=T0, lam=0.5, alpha=np.array([1.0, -2.0, 0.5]), scaling=scaling,
-    )
-    doc = dict(
-        model_to_dict(model),
-        format_version=2,
-        model_fingerprint="218e88e425bcfcc7e9fcb72ca720d69530641c5eda4e458d1372aa58cc8c24f6",
-    )
-    test = DesignMatrix(rng_from(53, "solver", "v2").uniform(size=(7, 2)))
-    for names in (["u", "v"], ["v", "u"]):
-        doc["metadata"] = {"feature_names": names}
-        loaded, metadata = model_from_dict(json.loads(json.dumps(doc)))
-        assert metadata["feature_names"] == names
-        assert np.array_equal(predict(loaded, test), predict(model, test))
-    doc["alpha"][0] = 1.5
-    with pytest.raises(SchemaError, match="model fingerprint"):
-        model_from_dict(doc)
+    with pytest.raises(SchemaError, match=message):
+        model_from_dict(dict(doc, model_fingerprint=_model_fingerprint(model, names)))
 
 
 def test_model_file_with_y_stats_still_loads():
@@ -897,8 +853,20 @@ def test_model_file_version_and_keys(tmp_path):
     with pytest.raises(SchemaError):
         load_model(bad)
     # true == 1 and 1.0 == 1 in Python; only a JSON integer names a version
-    for version in (True, 1.0, 3.0, "3"):
+    for version in (1, 2, 4, True, 1.0, 3.0, "3"):
         bad.write_text(json.dumps(dict(model_to_dict(model), format_version=version)))
+        with pytest.raises(SchemaError, match="unsupported model format version.*re-fit the model"):
+            load_model(bad)
+    # older formats fingerprint less, so edits like these would load unnoticed
+    named = fit(DesignMatrix(np.array([[0.25, 0.5], [0.75, 0.125]])), [1.0, -2.0], T0, 0.5)
+    v1 = dict(model_to_dict(model), format_version=1, alpha=[10.0 * a for a in model.alpha.tolist()])
+    del v1["model_fingerprint"]  # version 1 fingerprinted the knots only
+    v2 = dict(  # version 2 fingerprinted everything but the feature names
+        model_to_dict(named), format_version=2,
+        model_fingerprint=_model_fingerprint(named), metadata={"feature_names": ["v", "u"]},
+    )
+    for doc in (v1, v2):
+        bad.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="unsupported model format version"):
             load_model(bad)
     for key in ("alpha", "model_fingerprint"):
