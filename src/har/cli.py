@@ -8,11 +8,12 @@ layers, highest priority first: command-line flags, the optional
 (threads only), and the declared default.  It checks a value the same way
 whichever layer it came from, before any command opens a file, so a bad
 value, a missing required option or an unsplittable command line is a
-usage error.  Every run but ``--help`` prints exactly one JSON line to
-standard output (the machine-readable summary, or ``{"error": ...}``);
-progress, warnings and usage text go to standard error.  Exit codes:
-0 success, 1 runtime failure, 2 usage error.  Run it as ``har`` or as
-``python -m har.cli``.
+usage error; so is an output path that names an input or another output
+(`_check_outputs`).  Every run but ``--help`` prints exactly one JSON
+line to standard output (the machine-readable summary, or ``{"error":
+...}``); progress, warnings and usage text go to standard error.  Exit
+codes: 0 success, 1 runtime failure, 2 usage error.  Run it as ``har`` or
+as ``python -m har.cli``.
 
 Each command declares only the options its runner reads.  Model files carry
 the resolved options in their metadata; a study's JSON twin carries only the
@@ -203,6 +204,27 @@ def _derived_json_path(out) -> str:
     return str(p) + ".config.json" if p.suffix == ".json" else str(p) + ".json"
 
 
+def _check_outputs(cfg: dict, config) -> None:
+    """Fill in a study's derived ``--out-json``, then refuse, as a usage
+    error, an output (``--out``, ``--out-json``) that resolves to an input
+    (``--config``, ``--data``, ``--model``, a ``--datasets`` path) or to
+    another output.  ``predict --out`` may name its own ``--data``, which
+    is read again while the output is written."""
+    if "out_json" in cfg:
+        cfg["out_json"] = cfg["out_json"] or _derived_json_path(cfg["out"])
+    named = [("--config", config), ("--data", cfg.get("data")), ("--model", cfg.get("model"))]
+    named += [("--datasets", path) for path in cfg.get("datasets") or ()]
+    named = [(flag, os.path.realpath(path)) for flag, path in named if path is not None]
+    for flag, path in (("--out", cfg["out"]), ("--out-json", cfg.get("out_json"))):
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        for other, other_real in named:
+            if other_real == real and (cfg["command"], flag, other) != ("predict", "--out", "--data"):
+                raise UsageError(f"{flag} {path} names the same file as {other}")
+        named.append((flag, real))
+
+
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
@@ -294,16 +316,16 @@ def cmd_predict(cfg: dict) -> dict:
 
 def _run_study(cfg: dict, run, fields) -> dict:
     """Run a study with the shared tuning options, write its CSV table and its
-    JSON twin (whose ``config`` block is the runner's own record), and
-    summarize it with `fields` of that same twin."""
-    out_json = cfg["out_json"] or _derived_json_path(cfg["out"])
-    if os.path.realpath(out_json) == os.path.realpath(cfg["out"]):
-        raise UsageError(f"--out and --out-json name one file, {cfg['out']}")
+    JSON twin (whose ``config`` block is the runner's own record) to the
+    paths `_check_outputs` settled, and summarize it with `fields` of that
+    same twin."""
     report = run(seed=cfg["seed"], grid_count=cfg["grid"], epsilon=cfg["epsilon"], threads=cfg["threads"])
     document = report.document()
     write_table(cfg["out"], *report.table())
-    write_json(out_json, document)
-    return {"command": cfg["command"], "out": str(cfg["out"]), "out_json": str(out_json), **fields(document)}
+    write_json(cfg["out_json"], document)
+    return {
+        "command": cfg["command"], "out": str(cfg["out"]), "out_json": str(cfg["out_json"]), **fields(document),
+    }
 
 
 def cmd_simulate(cfg: dict) -> dict:
@@ -392,7 +414,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         run, _, options = _COMMANDS[args.command]
-        summary = run(_resolve(args, options))
+        cfg = _resolve(args, options)
+        _check_outputs(cfg, args.config)
+        summary = run(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         _emit({"error": {"type": "UsageError", "message": str(exc)}})

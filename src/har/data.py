@@ -3,7 +3,9 @@
 `read_table` parses a headed CSV and `write_table` writes one with every
 float as its ``repr``.  `write_predictions` writes what `read_table` read
 plus a prediction column, copying each kept row line as written;
-`_row_lines` alone decides which body lines are rows, for both.
+`_row_lines` alone decides which body lines are rows, for both.  These two
+and `write_json` write every file through `_replacing`, so a failed write
+leaves the old file in place.
 
 All randomness in the package flows through `rng_from`: one 64-bit master
 seed plus a structured key yields an independent PCG64 stream, so every
@@ -236,12 +238,31 @@ def _parse_cells(path, header: list, fh) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
+@contextmanager
+def _replacing(path):
+    """The one way a file is written: yields a UTF-8 text file, line ends
+    as written, on ``<path>.partial`` beside the file `path` names (through
+    any symlink), and moves it over `path` once the block completes, so the
+    block may still read `path`.  On any error `path` keeps its old bytes,
+    or stays absent, and no partial file is left."""
+    path = os.path.realpath(path)  # a symlink keeps pointing at the output
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def write_table(path, header, rows) -> None:
     """Write a headed CSV that `read_table` reads back: csv quoting, ``\\n``
     line ends, floats as ``repr(float(v))`` (the shortest decimal that
     round-trips).  `rows` is a 2-D array, or row sequences of Python
     scalars."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
@@ -256,10 +277,8 @@ def write_predictions(path, table, column: str, preds) -> None:
 
     The input is re-read one row line at a time, so no copy of its text is
     held, and a changed header or count of row lines is a SchemaError naming
-    it.  The output is written to ``<path>.partial`` beside `path` (the file
-    a symlink names) and moved over `path` only once complete, so `path` may
-    be the input itself, and a failed write leaves `path` as it was and no
-    partial file.
+    it.  The input is closed before `_replacing` moves the output into
+    place, so `path` may be the input itself.
     """
     header, rows, _ = table
     preds = np.asarray(preds, dtype=np.float64)
@@ -269,32 +288,24 @@ def write_predictions(path, table, column: str, preds) -> None:
         f"{table.source}: changed since it was read: expected its header and "
         f"{table.kept.shape[0]} row lines"
     )
-    path = os.path.realpath(path)  # a symlink keeps pointing at the output
-    partial = f"{path}.partial"
-    try:
-        with _opened(table.source) as (src, header_now), open(partial, "w", encoding="utf-8", newline="") as fh:
-            if header_now != header:
+    with _replacing(path) as fh, _opened(table.source) as (src, header_now):
+        if header_now != header:
+            raise changed
+        csv.writer(fh, lineterminator="\n").writerow([*header, column])
+        lines, values = _row_lines(src.readline), iter(preds.tolist())
+        for keep in table.kept.tolist():
+            line = next(lines, None)
+            if line is None:
                 raise changed
-            csv.writer(fh, lineterminator="\n").writerow([*header, column])
-            lines, values = _row_lines(src.readline), iter(preds.tolist())
-            for keep in table.kept.tolist():
-                line = next(lines, None)
-                if line is None:
-                    raise changed
-                if keep:
-                    fh.write(f"{line},{next(values)!r}\n")
-            if next(lines, None) is not None:
-                raise changed
-        os.replace(partial, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
+            if keep:
+                fh.write(f"{line},{next(values)!r}\n")
+        if next(lines, None) is not None:
+            raise changed
 
 
 def write_json(path, doc) -> None:
     """Write a JSON artifact: two-space indent and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

@@ -326,14 +326,14 @@ def tune(
 # ---------------------------------------------------------------------------
 # persistence
 
-def _model_fingerprint(model: FittedModel, feature_names: list | None = None) -> str:
-    """sha256 over everything that changes predictions: kernel, lambda,
-    scaling, knots and alpha, and the column names ``har predict`` selects
-    its inputs by, when the file records them."""
+def _model_fingerprint(spec, knots, lam, scaling, alpha, feature_names=None) -> str:
+    """sha256 over everything that changes predictions: kernel, knots,
+    lambda, scaling (its mins and maxs), alpha, and the column names ``har
+    predict`` selects its inputs by, when the file records them."""
     h = hashlib.sha256()
-    h.update(json.dumps(model.spec.to_dict(), sort_keys=True).encode())
-    h.update(model.knots.fingerprint.encode())
-    for part in ([model.lam], model.scaling.mins, model.scaling.maxs, model.alpha):
+    h.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
+    h.update(knots.fingerprint.encode())
+    for part in ([lam], *scaling, alpha):
         h.update(np.asarray(part, dtype=np.float64).tobytes())
     if feature_names is not None:
         h.update(json.dumps(feature_names).encode())
@@ -366,8 +366,12 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "scaling": model.scaling.to_dict(),
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
+        # unread on load, as model_fingerprint covers the knots; earlier format-3 builds require it
         "gram_fingerprint": model.knots.fingerprint,
-        "model_fingerprint": _model_fingerprint(model, metadata.get("feature_names")),
+        "model_fingerprint": _model_fingerprint(
+            model.spec, model.knots, model.lam, (model.scaling.mins, model.scaling.maxs), model.alpha,
+            metadata.get("feature_names"),
+        ),
         "metadata": metadata,
     }
 
@@ -384,17 +388,18 @@ def _read(doc: dict, key: str, convert):
     except HarError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"model file key {key!r} is malformed: {exc!r}") from None
+        raise SchemaError(f"model file key {key!r} is missing or malformed: {exc!r}") from None
 
 
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
-    """The model a format `MODEL_FORMAT_VERSION` document holds, which must
-    match its fingerprint of every prediction input, ``metadata.feature_names``
-    included, and whose names must then pass `_check_feature_names`.  Any
-    other format version fails to load: a prediction input that joins the
-    fingerprint bumps the version, so an older file cannot prove it is
-    unedited, and the fix is to re-fit the model.  Keys outside the
-    prediction inputs are ignored."""
+    """The model a format `MODEL_FORMAT_VERSION` document holds.  Each
+    prediction input is parsed once, and all of them, ``metadata.feature_names``
+    included, must match the file's fingerprint before the model is built,
+    so any edit fails as a fingerprint mismatch; the names must then pass
+    `_check_feature_names`.  Any other format version fails to load: a
+    prediction input that joins the fingerprint bumps the version, so an
+    older file cannot prove it is unedited, and the fix is to re-fit the
+    model.  Keys outside the prediction inputs are ignored."""
     version = doc.get("format_version")
     # a JSON integer only: true == 1 and 1.0 == 1 in Python
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -402,31 +407,24 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
             f"unsupported model format version {version!r}; this build reads "
             f"version {MODEL_FORMAT_VERSION} only: re-fit the model"
         )
-    for key in ("kernel", "lambda", "scaling", "knots", "alpha", "gram_fingerprint", "model_fingerprint"):
-        if key not in doc:
-            raise SchemaError(f"model file is missing required key {key!r}")
-    knots = _read(doc, "knots", lambda v: DesignMatrix(np.asarray(v, dtype=np.float64)))
-    if knots.fingerprint != doc["gram_fingerprint"]:
-        raise SchemaError(
-            "knot fingerprint mismatch: model file is corrupt or was edited"
-        )
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError(f"model file key 'metadata' is a {type(metadata).__name__}, not an object")
-    model = FittedModel(
-        knots=knots,
+    floats = partial(np.asarray, dtype=np.float64)
+    parts = dict(
         spec=_read(doc, "kernel", KernelSpec.from_dict),
+        knots=_read(doc, "knots", lambda v: DesignMatrix(floats(v))),
         lam=_read(doc, "lambda", float),
-        alpha=_read(doc, "alpha", lambda v: np.asarray(v, dtype=np.float64)),
-        scaling=_read(doc, "scaling", ScalingParams.from_dict),
+        scaling=_read(doc, "scaling", lambda v: (floats(v["mins"]), floats(v["maxs"]))),
+        alpha=_read(doc, "alpha", floats),
     )
-    if _model_fingerprint(model, metadata.get("feature_names")) != doc["model_fingerprint"]:
+    if _model_fingerprint(**parts, feature_names=metadata.get("feature_names")) != doc.get("model_fingerprint"):
         raise SchemaError(
             "model fingerprint mismatch: kernel, lambda, scaling, knots, "
             "alpha or metadata feature_names was edited"
         )
-    _check_feature_names(metadata.get("feature_names"), knots.p)
-    return model, metadata
+    _check_feature_names(metadata.get("feature_names"), parts["knots"].p)
+    return FittedModel(**dict(parts, scaling=ScalingParams(*parts["scaling"]))), metadata
 
 
 def load_model(path) -> tuple[FittedModel, dict]:

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -602,6 +603,45 @@ def test_out_json_naming_the_out_file_is_a_usage_error(tmp_path, capsys):
     )
     assert code == EXIT_USAGE and summary["error"]["type"] == "UsageError"
     assert "--out-json" in summary["error"]["message"] and not out.exists()
+
+
+_CLOBBERS = {
+    # case: (argv, its {paths} filled in; what the usage error must end with)
+    "fit-data": (["fit", "--data", "{data}", "--grid", "5", "--out", "{data}"], "--out .* as --data"),
+    "predict-model": (["predict", "--model", "{model}", "--data", "{data}", "--out", "{model}"],
+                      "--out .* as --model"),
+    "bench-datasets": (["bench", "--datasets", "{data}", "--repeats", "1", "--grid", "5", "--out", "{data}"],
+                       "--out .* as --datasets"),
+    # the --out-json derived from s.csv is s.json, the config file
+    "simulate-config": (["simulate", "--config", "{config}", "--out", "{study}"], "--out-json .* as --config"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLOBBERS))
+def test_output_naming_an_input_is_a_usage_error_that_keeps_the_input(train_csv, tmp_path, capsys, case):
+    model, config = tmp_path / "m.json", tmp_path / "s.json"
+    assert run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", str(model))[0] == EXIT_OK
+    config.write_text(json.dumps({"grid": 5}))
+    paths = {"data": train_csv, "model": str(model), "config": str(config), "study": str(tmp_path / "s.csv")}
+    inputs = [Path(paths[name]) for name in ("data", "model", "config")]
+    before, listing = [path.read_bytes() for path in inputs], sorted(tmp_path.iterdir())
+    argv, said = _CLOBBERS[case]
+    code, summary, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == EXIT_USAGE and summary["error"]["type"] == "UsageError"
+    assert re.search(f"{said}$", summary["error"]["message"]), summary
+    assert [path.read_bytes() for path in inputs] == before
+    assert sorted(tmp_path.iterdir()) == listing  # no output, partial file or derived twin either
+
+
+def test_predict_may_name_its_data_as_out_even_through_a_symlink(train_csv, tmp_path, capsys):
+    model, data, link = str(tmp_path / "m.json"), tmp_path / "d.csv", tmp_path / "link.csv"
+    run_cli(capsys, "fit", "--data", train_csv, "--grid", "5", "--out", model)
+    data.write_text(Path(train_csv).read_text())
+    link.symlink_to(data)
+    expected = tmp_path / "p.csv"
+    assert run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(expected))[0] == EXIT_OK
+    assert run_cli(capsys, "predict", "--model", model, "--data", str(data), "--out", str(link))[0] == EXIT_OK
+    assert link.is_symlink() and data.read_bytes() == expected.read_bytes()
 
 
 def test_convergence_subcommand(tmp_path, capsys):

@@ -19,6 +19,7 @@ from har.data import (
     rmse,
     rng_from,
     split_dataset,
+    write_json,
     write_table,
 )
 from har.exceptions import (
@@ -213,6 +214,29 @@ def test_write_table_array_bytes_match_csv_writer(tmp_path):
     write_table(path, header, rows)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
     assert path.read_text().splitlines()[:3] == ['a,"b,c","q""x"', "-0.0,nan,inf", "-inf,5e-324,1e+16"]
+
+
+def test_failed_write_json_keeps_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 1, "b": object()})  # fails mid-dump, after '"b": '
+    assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_failed_write_table_keeps_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a"], [[1.0]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2.0]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_table(path, ["a"], rows())
+    assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def _predictions_for(table):

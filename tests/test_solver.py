@@ -777,8 +777,13 @@ def test_model_file_tamper_detected(tmp_path):
         (("lambda",), lambda lam: 2.0 * lam),
         (("kernel", "order"), lambda order: 1),
         (("scaling", "maxs", 0), lambda hi: 2.0 * hi),
+        # edits the model's own checks would also reject: the fingerprint must catch them first
+        (("alpha",), lambda alpha: alpha[:-1]),
+        (("scaling", "maxs"), lambda maxs: maxs[:-1]),
+        (("lambda",), lambda lam: -1.0),
+        (("knots", 2, 1), lambda v: 0.5 * v),
     ],
-    ids=["alpha", "lambda", "kernel", "scaling"],
+    ids=["alpha", "lambda", "kernel", "scaling", "alpha-shortened", "scaling-shortened", "negative-lambda", "knot"],
 )
 def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change):
     rng = rng_from(49, "solver", "tamper")
@@ -826,8 +831,31 @@ def test_feature_names_that_do_not_name_each_column_once_are_rejected(names):
         model_to_dict(model, {"feature_names": names})
     # a file fingerprinted with them, so only the names rule can reject it
     doc = dict(model_to_dict(model), metadata={"feature_names": names})
+    fingerprint = _model_fingerprint(
+        model.spec, model.knots, model.lam, (model.scaling.mins, model.scaling.maxs), model.alpha, names
+    )
     with pytest.raises(SchemaError, match=message):
-        model_from_dict(dict(doc, model_fingerprint=_model_fingerprint(model, names)))
+        model_from_dict(dict(doc, model_fingerprint=fingerprint))
+
+
+def test_failed_save_model_keeps_the_old_file(tmp_path):
+    model = fit(DesignMatrix(np.array([[0.5], [0.7]])), [1.0, 2.0], T0, 0.5)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_model(model, path, metadata={"note": object()})
+    assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_model_file_without_gram_fingerprint_loads():
+    # still written, for earlier builds that check it; model_fingerprint covers the knots
+    rng = rng_from(53, "solver", "gram-fingerprint")
+    model = fit(DesignMatrix(rng.uniform(size=(6, 2))), rng.standard_normal(6), T0, 0.5)
+    doc = model_to_dict(model)
+    assert doc.pop("gram_fingerprint") == model.knots.fingerprint
+    test = DesignMatrix(rng.uniform(size=(4, 2)))
+    assert np.array_equal(predict(model_from_dict(doc)[0], test), predict(model, test))
 
 
 def test_model_file_with_y_stats_still_loads():
@@ -863,7 +891,10 @@ def test_model_file_version_and_keys(tmp_path):
     del v1["model_fingerprint"]  # version 1 fingerprinted the knots only
     v2 = dict(  # version 2 fingerprinted everything but the feature names
         model_to_dict(named), format_version=2,
-        model_fingerprint=_model_fingerprint(named), metadata={"feature_names": ["v", "u"]},
+        model_fingerprint=_model_fingerprint(
+            named.spec, named.knots, named.lam, (named.scaling.mins, named.scaling.maxs), named.alpha
+        ),
+        metadata={"feature_names": ["v", "u"]},
     )
     for doc in (v1, v2):
         bad.write_text(json.dumps(doc))
