@@ -257,6 +257,7 @@ def cmd_fit(cfg: dict) -> dict:
         **result.choice(),
         "train_rmse": train_rmse,
         "model": str(cfg["out"]),
+        "diagnostics": result.diagnostics,
     }
 
 

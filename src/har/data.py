@@ -360,11 +360,6 @@ class ScalingParams:
     def to_dict(self) -> dict:
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingParams":
-        # converted here, so text in a model file is a SchemaError, not an input fault
-        return cls(*(np.asarray(d[key], dtype=np.float64) for key in ("mins", "maxs")))
-
 
 def fit_scaling(features: np.ndarray) -> ScalingParams:
     """Column-wise min/max of the training rows."""

@@ -18,11 +18,13 @@ one Gram matrix per kernel candidate:
   residual; the lowest score wins, ties to the larger lambda, then to the
   earlier candidate, a rule `_best` alone applies.
 
-`tune` factors each Gram once, K = V diag(w) V^T, by numpy.linalg.eigh
-(LAPACK dsyevd): eigmin(K) = w[0] sets lambda0, two matrix products give
-alpha and the inverse diagonal at every grid point, and the winner's alpha
-is its column of that product, so no second factorization is made.  `fit`,
-for an explicit lambda, and `loocv_errors` make the same eigendecomposition
+`tune` factors each Gram once, K = V diag(w) V^T, by `eigh`: LAPACK
+dsyevd, the routine numpy.linalg.eigh calls, run through ctypes on the
+Gram's own buffer, which it overwrites with V.  eigmin(K) = w[0] sets
+lambda0, two matrix products give alpha and the inverse diagonal at every
+grid point, and the winner's alpha is its column of that product, so no
+second factorization is made.  `fit`, for an explicit lambda, and
+`loocv_errors` make the same eigendecomposition on a copy of their Gram
 and the same products at their one lambda, so one rule, in `_loo_grid`,
 decides when K + lambda I is singular, and a model's alpha always solves
 the lambda it records.  The module needs numpy alone.
@@ -30,13 +32,14 @@ the lambda it records.  The module needs numpy alone.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-from numpy.linalg import eigh  # a name of this module, where the benchmark's tracer looks it up
+from numpy.linalg import LinAlgError
 
 from .data import ScalingParams, write_json
 from .exceptions import (
@@ -71,6 +74,10 @@ RBF_BANDWIDTHS = tuple(float(b) for b in np.geomspace(1e-3, 10.0, 13))
 #: a model's lambda rule, for `fit` before it builds a Gram and for every `FittedModel`
 _check_model_lambda = partial(_check_real, "lambda", low=0.0)
 
+#: the two routes `eigh` can take, as `eigensolver` names them
+EIGENSOLVER_IN_PLACE = "lapack-dsyevd-in-place"
+EIGENSOLVER_NUMPY = "numpy.linalg.eigh"
+
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
@@ -103,9 +110,10 @@ def fit(
     threads: int | None = None,
 ) -> FittedModel:
     """Solve (K + lambda I) alpha = y for the given kernel on the
-    eigendecomposition `tune` makes, numpy.linalg.eigh of the Gram, through
-    `_loo_grid` at the one lambda; SingularSystemError if K + lambda I is
-    not positive definite.
+    eigendecomposition `tune` makes, `eigh` of a Fortran-ordered copy of the
+    Gram, through `_loo_grid` at the one lambda; SingularSystemError if
+    K + lambda I is not positive definite.  The copy and the eigendecomposition
+    hold about 3n^2 doubles besides the Gram.
 
     A precomputed ``gram`` is accepted to avoid rebuilding (its provenance
     must match the knots and spec).  ``scaling`` is carried on the model for
@@ -147,21 +155,89 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
 
 
 # ---------------------------------------------------------------------------
+# eigendecomposition
+
+@cache
+def _dsyevd():
+    """numpy's own LAPACK dsyevd with 64-bit integers, the routine
+    numpy.linalg.eigh calls in numpy's OpenBLAS wheels, or None where numpy
+    links some other LAPACK (conda, MKL or a source build).  Looked up once,
+    on first use, among the libraries numpy.linalg's extension module loads."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (OSError, AttributeError):
+        return None
+    integer, pointer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
+    # hidden lengths of the two Fortran strings
+    routine.argtypes = [
+        ctypes.c_char_p, ctypes.c_char_p, integer, pointer, integer, pointer,
+        pointer, integer, pointer, integer, integer, ctypes.c_size_t, ctypes.c_size_t,
+    ]
+    routine.restype = None
+    return routine
+
+
+def eigensolver() -> str:
+    """The route `eigh` takes in this process."""
+    return EIGENSOLVER_NUMPY if _dsyevd() is None else EIGENSOLVER_IN_PLACE
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and eigenvectors V (in Fortran order) of the
+    symmetric matrix `a`, read from its lower triangle as numpy.linalg.eigh
+    reads it, with the same bits.
+
+    LAPACK dsyevd overwrites a writable Fortran-ordered float64 `a` with V
+    and V is returned as that same buffer; any other `a` is copied into one
+    first, so the caller's matrix is left as it was.  The call holds V and a
+    2n^2 workspace.  Where numpy's dsyevd cannot be found (see `eigensolver`),
+    numpy.linalg.eigh runs instead and its C-ordered V is copied to Fortran
+    order, about 2n^2 more.
+    """
+    routine = _dsyevd()
+    if routine is None:
+        w, V = np.linalg.eigh(a)
+        return w, np.asfortranarray(V)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise LinAlgError("Last 2 dimensions of the array must be square")
+    if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, dtype=np.float64, order="F")
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+    w = np.empty(n.value)
+
+    def run(lwork: int, liwork: int) -> tuple[int, int]:
+        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), dtype=np.int64)
+        routine(
+            b"V", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data, ctypes.c_int64(lwork),
+            iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1,
+        )
+        return int(work[0]), int(iwork[0])
+
+    run(*run(-1, -1))  # a workspace query, then the call
+    if info.value:
+        raise LinAlgError(
+            "Eigenvalues did not converge" if info.value > 0 else f"dsyevd argument {-info.value} is illegal"
+        )
+    return w, a
+
+
+# ---------------------------------------------------------------------------
 # closed-form leave-one-out
 
 def _loo_grid(w: np.ndarray, V: np.ndarray, y: np.ndarray, grid: np.ndarray):
     """Dual weights and leave-one-out residuals at every lambda of `grid`
     (column j for grid[j]) from one eigendecomposition K = V diag(w) V^T.
 
-    The products run on V in Fortran order, the layout LAPACK writes:
-    numpy's `eigh` returns a C-ordered copy, on which BLAS rounds the
-    products differently, so such a V is copied back once.  V is then
-    squared in place once alpha is formed, sparing another n x n temporary.
+    V is `eigh`'s, in the Fortran order LAPACK writes, on which the products
+    round as they always have.  It is squared in place once alpha is formed,
+    sparing another n x n temporary, so the caller must not use V afterwards.
     """
     # w and grid ascend, so if any lambda is singular, grid[0] is
     if w[0] + grid[0] <= 0.0:
         raise SingularSystemError(f"K + lambda I is not positive definite at lambda={grid[0]:g}")
-    V = np.asfortranarray(V)
     inv = 1.0 / (w[:, None] + grid)
     alpha = V @ ((V.T @ y)[:, None] * inv)
     inv_diag = np.square(V, out=V) @ inv
@@ -173,8 +249,8 @@ def loocv_errors(gram: GramMatrix, y, lam: float) -> np.ndarray:
 
     Kernel knots stay fixed: e_i equals the residual at row i of a model
     refit on the other n-1 rows of the SAME Gram matrix.  Requires lam > 0.
-    Makes the eigendecomposition `tune` makes, numpy.linalg.eigh of the
-    Gram, and runs `_loo_grid` on it for the one lambda.
+    Makes the eigendecomposition `tune` makes, `eigh` of a Fortran-ordered
+    copy of the Gram, and runs `_loo_grid` on it for the one lambda.
     """
     yv = _as_vector(y, gram.n, "y", "the Gram")
     lam = _check_real("lambda", lam, 0.0, ends="()")
@@ -244,11 +320,13 @@ def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TuningResult:
     """The candidate (kernel, lambda) grid, its leave-one-out scores (mean
-    squared residual), and the selected index."""
+    squared residual), the selected index, and how the numerics ran:
+    ``diagnostics["eigensolver"]`` names the route `eigh` took."""
 
     candidates: tuple
     scores: np.ndarray
     selected: int
+    diagnostics: dict
 
     @property
     def winner(self) -> tuple:
@@ -303,7 +381,10 @@ def tune(
     for spec in specs:
         K = gram_matrix(knots, spec, threads=threads).values
         row_norm = _max_row_norm(K)
-        w, V = eigh(K)
+        # only tune holds K, so eigh may overwrite it with V; K.T, its
+        # Fortran-ordered view, equals K, which gram_matrix makes exactly symmetric
+        K.setflags(write=True)
+        w, V = eigh(K.T)
         lam0 = _lambda0(row_norm, factor, float(w[0]))
         grid = lambda_grid(lam0, grid_count)
         alphas, errors = _loo_grid(w, V, yv, grid)
@@ -314,7 +395,10 @@ def tune(
 
     # the overall winner is its own spec's winner under the same order
     selected = _best(scores, [lam for _, lam in candidates])
-    result = TuningResult(candidates=tuple(candidates), scores=np.array(scores), selected=selected)
+    result = TuningResult(
+        candidates=tuple(candidates), scores=np.array(scores), selected=selected,
+        diagnostics={"eigensolver": eigensolver()},
+    )
     spec_sel, lam_sel = result.winner
     model = FittedModel(
         knots=knots, spec=spec_sel, lam=lam_sel, alpha=kept[selected // grid_count],

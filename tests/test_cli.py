@@ -52,6 +52,7 @@ def test_fit_writes_model_and_summary(train_csv, tmp_path, capsys):
     assert summary["n"] == 60 and summary["p"] == 2
     assert summary["kernel"]["family"] == "sobolev"
     assert summary["lambda"] > 0 and summary["train_rmse"] >= 0
+    assert summary["diagnostics"] == {"eigensolver": har.solver.eigensolver()}
     doc = json.loads(open(out).read())
     assert doc["format_version"] == 3
     assert doc["metadata"]["feature_names"] == ["u", "v"]

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import tracemalloc
 import warnings
 
@@ -30,6 +31,8 @@ from har.exceptions import (
     NonNumericColumnError,
     SchemaError,
 )
+from har.kernels import DesignMatrix, KernelSpec
+from har.solver import FittedModel, model_from_dict, model_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +458,12 @@ def test_training_range_maps_to_full_interval():
 
 
 def test_scaling_params_round_trip():
-    params = ScalingParams(mins=np.array([0.0, -2.0]), maxs=np.array([1.0, 3.0]))
-    back = ScalingParams.from_dict(params.to_dict())
+    # a model file carries the scaling, and reading the file's text back gives the same bits
+    params = ScalingParams(mins=np.array([0.0, -2.0]), maxs=np.array([1.0 / 3.0, 3.0]))
+    model = FittedModel(
+        knots=DesignMatrix([[0.25, 0.75]]), spec=KernelSpec.har(0), lam=0.5, alpha=[1.0], scaling=params
+    )
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))[0].scaling
     assert np.array_equal(back.mins, params.mins)
     assert np.array_equal(back.maxs, params.maxs)
     with pytest.raises(InvalidInputError):

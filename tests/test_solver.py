@@ -1,3 +1,4 @@
+import ctypes
 import json
 import tracemalloc
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from har import solver
 from har.data import ScalingParams, rng_from
 from har.exceptions import (
     DimensionMismatchError,
@@ -36,6 +38,7 @@ from har.solver import (
     _loo_grid,
     _max_row_norm,
     _model_fingerprint,
+    eigensolver,
     eigh,
     fit,
     lambda_grid,
@@ -616,6 +619,114 @@ def test_tune_is_bit_identical_to_scipy_eigh_reference(family, order, n, threads
     assert np.array_equal(result.scores, scores)
     assert result.selected == selected
     assert np.array_equal(model.alpha, alpha)
+
+
+in_place_only = pytest.mark.skipif(
+    eigensolver() != solver.EIGENSOLVER_IN_PLACE, reason="numpy's own dsyevd is not found in this numpy"
+)
+
+
+def _on_both_routes(monkeypatch, run):
+    """run() on the in-place route, then again with numpy's dsyevd hidden."""
+    in_place = run()
+    monkeypatch.setattr(solver, "_dsyevd", lambda: None)
+    assert eigensolver() == solver.EIGENSOLVER_NUMPY
+    return in_place, run()
+
+
+@in_place_only
+@pytest.mark.parametrize("n", [1, 31, 200])
+@pytest.mark.parametrize("family, order", [("har", 0), ("har", 1), ("sobolev", 0), ("rbf", 0)])
+def test_in_place_and_numpy_eigh_routes_are_bit_identical(monkeypatch, family, order, n):
+    rng = rng_from(50, "solver", "eigh-routes", family, order, n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = np.sin(5.0 * knots.values[:, 0]) * knots.values[:, 1] + 0.1 * rng.standard_normal(n)
+    spec = _family_specs(family, order)[-1]
+    gram = gram_matrix(knots, spec)
+
+    def run():
+        result, model = tune(knots, y, family, order=order, grid_count=12)
+        return (
+            eigh(gram.values), result, model.alpha,
+            fit(knots, y, spec, 0.01, gram=gram).alpha, loocv_errors(gram, y, 0.01),
+        )
+
+    in_place, numpy_route = _on_both_routes(monkeypatch, run)
+    (w1, V1), result1, *arrays1 = in_place
+    (w2, V2), result2, *arrays2 = numpy_route
+    assert np.array_equal(w1, w2) and np.array_equal(V1, V2)
+    assert np.array_equal(result1.scores, result2.scores) and result1.selected == result2.selected
+    assert result1.diagnostics == {"eigensolver": "lapack-dsyevd-in-place"}
+    assert result2.diagnostics == {"eigensolver": "numpy.linalg.eigh"}
+    for a1, a2 in zip(arrays1, arrays2):
+        assert np.array_equal(a1, a2)
+
+
+@in_place_only
+def test_in_place_eigh_overwrites_its_input_with_v():
+    K = gram_matrix(DesignMatrix(rng_from(51, "solver", "in-place").uniform(size=(40, 3))), T0).values
+    a = np.array(K, order="F")
+    w, V = eigh(a)
+    assert np.shares_memory(V, a) and V.flags.f_contiguous
+    assert np.allclose((V * w) @ V.T, K, rtol=0.0, atol=1e-12 * np.abs(K).max())
+
+
+@in_place_only
+def test_tune_eigendecomposes_its_own_gram_in_place():
+    # the Gram and LAPACK's 2n^2 workspace; one more copy of the Gram would read 4n^2
+    rng = rng_from(54, "solver", "tune-memory")
+    n = 600
+    knots, y = DesignMatrix(rng.uniform(size=(n, 3))), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        tune(knots, y, "har")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
+
+
+def test_eigh_rejects_a_non_square_matrix_before_any_lapack_call():
+    with pytest.raises(np.linalg.LinAlgError, match="must be square"):
+        eigh(np.ones((2, 3), order="F"))
+
+
+@in_place_only
+def test_in_place_eigh_raises_numpys_error_when_lapack_does_not_converge(monkeypatch):
+    def unconverged(*args):
+        # a workspace query answers one double and one integer; the call then reports info = 3
+        ctypes.c_double.from_address(args[6]).value = 1.0
+        ctypes.c_int64.from_address(args[8]).value = 1
+        args[10].value = 3 if args[7].value > 0 else 0
+
+    monkeypatch.setattr(solver, "_dsyevd", lambda: unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        eigh(np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_fit_and_loo_leave_the_gram_unchanged_and_read_only(n):
+    rng = rng_from(52, "solver", "gram-kept", n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = rng.standard_normal(n)
+    gram = gram_matrix(knots, T0)
+    before = gram.values.copy()
+    fit(knots, y, T0, 0.1, gram=gram)
+    loocv_errors(gram, y, 0.1)
+    assert np.array_equal(gram.values, before)
+    assert not gram.values.flags.writeable
+
+
+@in_place_only
+def test_loo_reads_the_lower_triangle_of_an_asymmetric_gram_on_both_routes(monkeypatch):
+    rng = rng_from(53, "solver", "asymmetric")
+    A = rng.standard_normal((6, 6))
+    A = A @ A.T + 6.0 * np.eye(6)
+    A[np.triu_indices(6, 1)] += 1.0  # the upper triangle no longer mirrors the lower one
+    gram, y = _gram_of(A), rng.standard_normal(6)
+    in_place, numpy_route = _on_both_routes(monkeypatch, lambda: loocv_errors(gram, y, 0.5))
+    assert np.array_equal(in_place, numpy_route)
+    assert np.array_equal(in_place, loocv_errors(_gram_of(np.tril(A) + np.tril(A, -1).T), y, 0.5))
 
 
 def test_tune_rbf_scans_bandwidths():
