@@ -35,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .data import (
-    SplitSpec, apply_scaling, fit_scaling, load_csv, read_table, rmse, rng_from, write_json, write_predictions,
-    write_table,
+    SplitSpec, apply_scaling, fit_scaling, load_csv, read_json, read_table, rmse, rng_from, write_json,
+    write_predictions, write_table,
 )
 from .exceptions import HarError, InvalidParameterError, SchemaError
 from .experiments import (
@@ -162,15 +162,11 @@ def _check(opt: Option, value, where: str):
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+        return read_json(path)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return doc
+    except SchemaError as exc:
+        raise UsageError(f"config file {exc}") from None
 
 
 def _resolve(args: argparse.Namespace, options: tuple) -> dict:

@@ -5,7 +5,7 @@ float as its ``repr``.  `write_predictions` writes what `read_table` read
 plus a prediction column, copying each kept row line as written;
 `_row_lines` alone decides which body lines are rows, for both.  These two
 and `write_json` write every file through `_replacing`, so a failed write
-leaves the old file in place.
+leaves the old file in place; `read_json` reads every JSON file.
 
 All randomness in the package flows through `rng_from`: one 64-bit master
 seed plus a structured key yields an independent PCG64 stream, so every
@@ -59,9 +59,7 @@ def rng_from(seed: int, *key) -> np.random.Generator:
         elif isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             parts.append(int(part) & 0xFFFFFFFF)
         else:
-            raise InvalidParameterError(
-                f"rng key parts must be ints or strings, got {part!r}"
-            )
+            raise InvalidParameterError(f"rng key parts must be ints or strings, got {part!r}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(parts))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -83,9 +81,7 @@ class Dataset:
         if np.ndim(self.target) != 1:
             raise DimensionMismatchError(f"target must be 1-D, got shape {np.shape(self.target)}")
         if len(self.feature_names) != feats.shape[1]:
-            raise DimensionMismatchError(
-                f"{len(self.feature_names)} feature names for {feats.shape[1]} columns"
-            )
+            raise DimensionMismatchError(f"{len(self.feature_names)} feature names for {feats.shape[1]} columns")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "target", targ)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -221,9 +217,7 @@ def _parse_cells(path, header: list, fh) -> np.ndarray:
             fault = exc if reader.line_num == 1 else "a quoted cell is not closed on its line"
             raise SchemaError(f"{path}:{lineno}: {fault}") from None
         if len(row) != width:
-            raise SchemaError(
-                f"{path}:{lineno}: expected {width} cells, got {len(row)}"
-            )
+            raise SchemaError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
         values = []
         for name, cell in zip(header, row):
             text = cell.strip()
@@ -308,6 +302,19 @@ def write_json(path, doc) -> None:
     with _replacing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """The one way a JSON file is read: UTF-8, any BOM skipped, and a JSON
+    object at top level; anything else is a SchemaError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path} must hold a JSON object")
+    return doc
 
 
 def load_csv(path, target: str | None = None) -> Dataset:

@@ -24,10 +24,10 @@ Gram's own buffer, which it overwrites with V.  eigmin(K) = w[0] sets
 lambda0, two matrix products give alpha and the inverse diagonal at every
 grid point, and the winner's alpha is its column of that product, so no
 second factorization is made.  `fit`, for an explicit lambda, and
-`loocv_errors` make the same eigendecomposition on a copy of their Gram
-and the same products at their one lambda, so one rule, in `_loo_grid`,
-decides when K + lambda I is singular, and a model's alpha always solves
-the lambda it records.  The module needs numpy alone.
+`loocv_errors` make the same eigendecomposition and products at their one
+lambda, so one rule, in `_loo_grid`, decides when K + lambda I is singular,
+and a model's alpha always solves the lambda it records.  `eigh` overwrites
+a Gram `tune` or `fit` builds, and copies one passed in.  Needs numpy alone.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from functools import cache, partial
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .data import ScalingParams, write_json
+from .data import ScalingParams, read_json, write_json
 from .exceptions import (
     DimensionMismatchError,
     HarError,
+    InvalidInputError,
     InvalidParameterError,
     SchemaError,
     SingularSystemError,
@@ -63,7 +64,7 @@ from .kernels import (
     gram_matrix,
 )
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_GRID_COUNT = 50
@@ -110,10 +111,10 @@ def fit(
     threads: int | None = None,
 ) -> FittedModel:
     """Solve (K + lambda I) alpha = y for the given kernel on the
-    eigendecomposition `tune` makes, `eigh` of a Fortran-ordered copy of the
-    Gram, through `_loo_grid` at the one lambda; SingularSystemError if
-    K + lambda I is not positive definite.  The copy and the eigendecomposition
-    hold about 3n^2 doubles besides the Gram.
+    eigendecomposition `tune` makes, through `_loo_grid` at the one lambda;
+    SingularSystemError if K + lambda I is not positive definite.  It holds
+    about 3n^2 doubles besides a Gram passed in: the Gram it builds or a copy
+    of the one passed in, either overwritten by `eigh`, and a 2n^2 workspace.
 
     A precomputed ``gram`` is accepted to avoid rebuilding (its provenance
     must match the knots and spec).  ``scaling`` is carried on the model for
@@ -123,13 +124,13 @@ def fit(
     yv = _as_vector(y, knots.n, "y")
     lam = _check_model_lambda(lam)
     if gram is None:
-        gram = gram_matrix(knots, spec, threads=threads)
+        w, V = eigh(_own_gram(knots, spec, threads).T)
     else:
         if gram.knot_fingerprint != knots.fingerprint:
             raise InvalidParameterError("gram was built from different knots")
         if gram.spec != spec:
             raise InvalidParameterError("gram was built for a different kernel spec")
-    w, V = eigh(gram.values)
+        w, V = eigh(gram.values)
     alpha = _loo_grid(w, V, yv, np.array([lam]))[0][:, 0]
     if scaling is None:
         scaling = ScalingParams.identity(knots.p)
@@ -224,6 +225,15 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, a
 
 
+def _own_gram(knots: DesignMatrix, spec: KernelSpec, threads: int | None) -> np.ndarray:
+    """The Gram's values made writable for a caller that alone holds them, so
+    that `eigh(K.T)` may overwrite them with V: K.T, their Fortran-ordered
+    view, equals K, which gram_matrix makes exactly symmetric."""
+    K = gram_matrix(knots, spec, threads=threads).values
+    K.setflags(write=True)
+    return K
+
+
 # ---------------------------------------------------------------------------
 # closed-form leave-one-out
 
@@ -279,7 +289,10 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
 
 def _max_row_norm(K: np.ndarray) -> float:
     # a row block at a time: the whole-matrix norm squares K into an n x n temporary
-    return float(max(np.linalg.norm(K[rows], axis=1).max() for rows in _row_slices(K.shape[0])))
+    norm = float(max(np.linalg.norm(K[rows], axis=1).max() for rows in _row_slices(K.shape[0])))
+    if not np.isfinite(norm):  # K is finite, but its squares are not (order-0 har from p = 600 on)
+        raise InvalidInputError("the largest Gram row norm overflows float64")
+    return norm
 
 
 def _lambda0(max_row_norm: float, factor: float, eig_min: float) -> float:
@@ -300,8 +313,7 @@ def lambda_max(gram: GramMatrix, y, epsilon: float = DEFAULT_EPSILON) -> float:
     """
     check_tuning(epsilon)
     factor = _bound_factor(_as_vector(y, gram.n, "y", "the Gram"), epsilon)
-    eig_min = np.linalg.eigvalsh(gram.values)[0]
-    return _lambda0(_max_row_norm(gram.values), factor, float(eig_min))
+    return _lambda0(_max_row_norm(gram.values), factor, float(np.linalg.eigvalsh(gram.values)[0]))
 
 
 def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
@@ -379,11 +391,8 @@ def tune(
     scores = []
     kept = []  # each spec's winning alpha, so no (n, G) block outlives its pass
     for spec in specs:
-        K = gram_matrix(knots, spec, threads=threads).values
+        K = _own_gram(knots, spec, threads)
         row_norm = _max_row_norm(K)
-        # only tune holds K, so eigh may overwrite it with V; K.T, its
-        # Fortran-ordered view, equals K, which gram_matrix makes exactly symmetric
-        K.setflags(write=True)
         w, V = eigh(K.T)
         lam0 = _lambda0(row_norm, factor, float(w[0]))
         grid = lambda_grid(lam0, grid_count)
@@ -411,17 +420,14 @@ def tune(
 # persistence
 
 def _model_fingerprint(spec, knots, lam, scaling, alpha, feature_names=None) -> str:
-    """sha256 over everything that changes predictions: kernel, knots,
-    lambda, scaling (its mins and maxs), alpha, and the column names ``har
-    predict`` selects its inputs by, when the file records them."""
-    h = hashlib.sha256()
-    h.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
-    h.update(knots.fingerprint.encode())
-    for part in ([lam], *scaling, alpha):
-        h.update(np.asarray(part, dtype=np.float64).tobytes())
-    if feature_names is not None:
-        h.update(json.dumps(feature_names).encode())
-    return h.hexdigest()
+    """sha256 of one JSON list of everything that changes predictions, one
+    element each, so no value can move from one into the next and keep the
+    hash: kernel, knots (their own shape-prefixed hash), lambda, scaling mins
+    and maxs, alpha, and the column names ``har predict`` selects its inputs
+    by (null when the file records none)."""
+    mins, maxs = scaling
+    parts = [spec.to_dict(), knots.fingerprint, lam, mins.tolist(), maxs.tolist(), alpha.tolist(), feature_names]
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
 def _check_feature_names(names, p: int) -> None:
@@ -450,8 +456,6 @@ def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
         "scaling": model.scaling.to_dict(),
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
-        # unread on load, as model_fingerprint covers the knots; earlier format-3 builds require it
-        "gram_fingerprint": model.knots.fingerprint,
         "model_fingerprint": _model_fingerprint(
             model.spec, model.knots, model.lam, (model.scaling.mins, model.scaling.maxs), model.alpha,
             metadata.get("feature_names"),
@@ -514,11 +518,4 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
 def load_model(path) -> tuple[FittedModel, dict]:
     """Read a model file back; predictions from the loaded model are
     bit-identical to the original (floats round-trip exactly)."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object at top level")
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

@@ -54,7 +54,7 @@ def test_fit_writes_model_and_summary(train_csv, tmp_path, capsys):
     assert summary["lambda"] > 0 and summary["train_rmse"] >= 0
     assert summary["diagnostics"] == {"eigensolver": har.solver.eigensolver()}
     doc = json.loads(open(out).read())
-    assert doc["format_version"] == 3
+    assert doc["format_version"] == 4
     assert doc["metadata"]["feature_names"] == ["u", "v"]
     assert doc["metadata"]["target_name"] == "target"
     assert doc["metadata"]["config"]["order"] == 0  # default echoed

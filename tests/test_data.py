@@ -16,6 +16,7 @@ from har.data import (
     apply_scaling,
     fit_scaling,
     load_csv,
+    read_json,
     read_table,
     rmse,
     rng_from,
@@ -226,6 +227,26 @@ def test_failed_write_json_keeps_the_old_file(tmp_path):
     with pytest.raises(TypeError):
         write_json(path, {"a": 1, "b": object()})  # fails mid-dump, after '"b": '
     assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_read_json_reads_what_write_json_wrote_and_skips_a_bom(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": [1.5, -0.0]})
+    assert read_json(path) == {"a": [1.5, -0.0]}
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_json(path) == {"a": [1.5, -0.0]}
+
+
+@pytest.mark.parametrize(
+    "content, said",
+    [(b"not json{", "not valid JSON"), (b"\xff{}", "not valid JSON"), (b"[1]", "must hold a JSON object")],
+    ids=["text", "not-utf8", "list"],
+)
+def test_read_json_names_the_file_it_cannot_read(tmp_path, content, said):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match=f"doc.json.*{said}"):
+        read_json(path)
 
 
 def test_failed_write_table_keeps_the_old_file(tmp_path):

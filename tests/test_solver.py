@@ -672,14 +672,17 @@ def test_in_place_eigh_overwrites_its_input_with_v():
 
 
 @in_place_only
-def test_tune_eigendecomposes_its_own_gram_in_place():
+@pytest.mark.parametrize(
+    "solve", [lambda knots, y: tune(knots, y, "har"), lambda knots, y: fit(knots, y, T0, 1.0)], ids=["tune", "fit"]
+)
+def test_tune_eigendecomposes_its_own_gram_in_place(solve):
     # the Gram and LAPACK's 2n^2 workspace; one more copy of the Gram would read 4n^2
     rng = rng_from(54, "solver", "tune-memory")
     n = 600
     knots, y = DesignMatrix(rng.uniform(size=(n, 3))), rng.standard_normal(n)
     tracemalloc.start()
     try:
-        tune(knots, y, "har")
+        solve(knots, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -816,10 +819,15 @@ def test_monotone_shrinkage_over_grid():
 def test_tune_rejects_a_gram_that_overflows():
     # 2**1100 per knot overflows float64; LAPACK must never see the infinities
     knots = DesignMatrix(np.full((3, 1100), 0.5))
+    # 2**600 per knot is finite, but the squares in its row norms, and so lambda0, overflow
+    finite = DesignMatrix(np.full((3, 600), 0.5))
+    y = [1.0, 2.0, 3.0]
     for call in (
         lambda: gram_matrix(knots, T0),
-        lambda: fit(knots, [1.0, 2.0, 3.0], T0, 0.5),
-        lambda: tune(knots, [1.0, 2.0, 3.0], "har"),
+        lambda: fit(knots, y, T0, 0.5),
+        lambda: tune(knots, y, "har"),
+        lambda: tune(finite, y, "har"),
+        lambda: lambda_max(gram_matrix(finite, T0), y),
     ):
         with pytest.raises(InvalidInputError, match="overflows"):
             with pytest.warns(RuntimeWarning, match="overflow"):
@@ -893,21 +901,27 @@ def test_model_file_tamper_detected(tmp_path):
         (("scaling", "maxs"), lambda maxs: maxs[:-1]),
         (("lambda",), lambda lam: -1.0),
         (("knots", 2, 1), lambda v: 0.5 * v),
+        # the last scaling value moved to the front of alpha: the same floats in the same order
+        ((), lambda doc: dict(doc, alpha=[doc["scaling"]["maxs"].pop(), *doc["alpha"]])),
     ],
-    ids=["alpha", "lambda", "kernel", "scaling", "alpha-shortened", "scaling-shortened", "negative-lambda", "knot"],
+    ids=[
+        "alpha", "lambda", "kernel", "scaling", "alpha-shortened", "scaling-shortened", "negative-lambda", "knot",
+        "value-across-a-boundary",
+    ],
 )
 def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change):
     rng = rng_from(49, "solver", "tamper")
     knots = DesignMatrix(rng.uniform(size=(6, 2)))
     doc = model_to_dict(fit(knots, rng.standard_normal(6), T0, 0.5))
     model_from_dict(json.loads(json.dumps(doc)))
-    *parents, last = path
-    target = doc
+    root = {"doc": doc}  # so that an empty path edits the whole document
+    *parents, last = ("doc", *path)
+    target = root
     for key in parents:
         target = target[key]
     target[last] = change(target[last])
     file = tmp_path / "m.json"
-    file.write_text(json.dumps(doc))
+    file.write_text(json.dumps(root["doc"]))
     with pytest.raises(SchemaError, match="model fingerprint"):
         load_model(file)
 
@@ -921,7 +935,7 @@ def test_model_file_edit_of_feature_names_rejected(tmp_path, names):
     rng = rng_from(52, "solver", "names")
     knots = DesignMatrix(rng.uniform(size=(6, 2)))
     doc = model_to_dict(fit(knots, rng.standard_normal(6), T0, 0.5), {"feature_names": ["u", "v"]})
-    assert doc["format_version"] == 3
+    assert doc["format_version"] == 4
     model_from_dict(json.loads(json.dumps(doc)))
     if names is None:
         del doc["metadata"]["feature_names"]
@@ -960,11 +974,11 @@ def test_failed_save_model_keeps_the_old_file(tmp_path):
 
 
 def test_model_file_without_gram_fingerprint_loads():
-    # still written, for earlier builds that check it; model_fingerprint covers the knots
+    # format 3 wrote a hash of the knots alone, which nothing read; model_fingerprint covers the knots
     rng = rng_from(53, "solver", "gram-fingerprint")
     model = fit(DesignMatrix(rng.uniform(size=(6, 2))), rng.standard_normal(6), T0, 0.5)
-    doc = model_to_dict(model)
-    assert doc.pop("gram_fingerprint") == model.knots.fingerprint
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    assert "gram_fingerprint" not in doc
     test = DesignMatrix(rng.uniform(size=(4, 2)))
     assert np.array_equal(predict(model_from_dict(doc)[0], test), predict(model, test))
 
@@ -992,7 +1006,7 @@ def test_model_file_version_and_keys(tmp_path):
     with pytest.raises(SchemaError):
         load_model(bad)
     # true == 1 and 1.0 == 1 in Python; only a JSON integer names a version
-    for version in (1, 2, 4, True, 1.0, 3.0, "3"):
+    for version in (1, 2, 3, 5, True, 1.0, 4.0, "4"):
         bad.write_text(json.dumps(dict(model_to_dict(model), format_version=version)))
         with pytest.raises(SchemaError, match="unsupported model format version.*re-fit the model"):
             load_model(bad)
@@ -1007,9 +1021,11 @@ def test_model_file_version_and_keys(tmp_path):
         ),
         metadata={"feature_names": ["v", "u"]},
     )
-    for doc in (v1, v2):
+    # version 3 framed no input, so a value could move from one into the next
+    v3 = dict(model_to_dict(model), format_version=3, gram_fingerprint=model.knots.fingerprint)
+    for doc in (v1, v2, v3):
         bad.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="unsupported model format version"):
+        with pytest.raises(SchemaError, match="unsupported model format version.*re-fit the model"):
             load_model(bad)
     for key in ("alpha", "model_fingerprint"):
         doc = model_to_dict(model)
