@@ -165,6 +165,8 @@ def _load_config_file(path) -> dict:
         return read_json(path)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"config file cannot be read: {path}: {exc.strerror or exc}") from None
     except SchemaError as exc:
         raise UsageError(f"config file {exc}") from None
 

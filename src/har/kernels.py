@@ -201,8 +201,8 @@ class DesignMatrix:
 class GramMatrix:
     """A kernel Gram matrix together with its provenance.
 
-    ``knot_fingerprint`` ties the matrix to the DesignMatrix it was built
-    from, so downstream code can refuse mismatched (gram, knots) pairs.  A
+    ``knot_fingerprint`` records the DesignMatrix it was built from; no
+    solver entry point takes both a Gram and knots, so none checks it.  A
     NaN or infinite entry (order-0 har can overflow float64 from p = 1023
     on) is an InvalidInputError here, so no solver entry point that takes
     a Gram ever hands one to LAPACK.

@@ -27,7 +27,8 @@ second factorization is made.  `fit`, for an explicit lambda, and
 `loocv_errors` make the same eigendecomposition and products at their one
 lambda, so one rule, in `_loo_grid`, decides when K + lambda I is singular,
 and a model's alpha always solves the lambda it records.  `eigh` overwrites
-a Gram `tune` or `fit` builds, and copies one passed in.  Needs numpy alone.
+the Gram `tune` or `fit` builds, and copies only the one `loocv_errors` is
+given.  Needs numpy alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .exceptions import (
     DimensionMismatchError,
     HarError,
     InvalidInputError,
-    InvalidParameterError,
     SchemaError,
     SingularSystemError,
     UndefinedScaleError,
@@ -107,30 +107,21 @@ def fit(
     lam: float,
     *,
     scaling: ScalingParams | None = None,
-    gram: GramMatrix | None = None,
     threads: int | None = None,
 ) -> FittedModel:
     """Solve (K + lambda I) alpha = y for the given kernel on the
     eigendecomposition `tune` makes, through `_loo_grid` at the one lambda;
-    SingularSystemError if K + lambda I is not positive definite.  It holds
-    about 3n^2 doubles besides a Gram passed in: the Gram it builds or a copy
-    of the one passed in, either overwritten by `eigh`, and a 2n^2 workspace.
+    SingularSystemError if K + lambda I is not positive definite.  Like
+    `tune`, it builds its own Gram and lets `eigh` overwrite it, so it holds
+    about 3n^2 doubles: the Gram, then V in its place, and a 2n^2 workspace.
 
-    A precomputed ``gram`` is accepted to avoid rebuilding (its provenance
-    must match the knots and spec).  ``scaling`` is carried on the model for
-    the prediction pipeline; omitted means the knots are already native
-    unit-cube coordinates (identity scaling).
+    ``scaling`` is carried on the model for the prediction pipeline; omitted
+    means the knots are already native unit-cube coordinates (identity
+    scaling).
     """
     yv = _as_vector(y, knots.n, "y")
     lam = _check_model_lambda(lam)
-    if gram is None:
-        w, V = eigh(_own_gram(knots, spec, threads).T)
-    else:
-        if gram.knot_fingerprint != knots.fingerprint:
-            raise InvalidParameterError("gram was built from different knots")
-        if gram.spec != spec:
-            raise InvalidParameterError("gram was built for a different kernel spec")
-        w, V = eigh(gram.values)
+    w, V = eigh(_own_gram(knots, spec, threads).T)
     alpha = _loo_grid(w, V, yv, np.array([lam]))[0][:, 0]
     if scaling is None:
         scaling = ScalingParams.identity(knots.p)
@@ -284,7 +275,10 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
     y_max = float(np.max(np.abs(yv)))
     if y_max == 0.0:
         raise UndefinedScaleError("cannot scale the bound: y is identically zero")
-    return float(np.linalg.norm(yv)) / (epsilon * y_max)
+    norm = float(np.linalg.norm(yv))
+    if not y_max <= norm < np.inf:  # exactly, ||y|| >= max|y|; y's squares left float64
+        raise InvalidInputError("the norm of y overflows or underflows float64")
+    return norm / (epsilon * y_max)
 
 
 def _max_row_norm(K: np.ndarray) -> float:

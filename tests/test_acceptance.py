@@ -132,7 +132,7 @@ def test_criterion_5_lambda0_suppresses_predictions():
         y = rng.standard_normal(n) * float(rng.uniform(0.5, 20.0))
         gram = gram_matrix(knots, spec)
         lam0 = lambda_max(gram, y, epsilon=1e-3)
-        model = fit(knots, y, spec, lam0, gram=gram)
+        model = fit(knots, y, spec, lam0)
         fitted = gram.values @ model.alpha
         assert np.max(np.abs(fitted)) <= 1e-3 * np.max(np.abs(y))
 

@@ -429,12 +429,17 @@ def test_config_key_a_command_does_not_read_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content, said", [(None, "not found"), ("[5]", "must hold a JSON object")], ids=["missing", "list"]
+    "make, said",
+    [
+        (lambda cfg: None, "not found"),
+        (lambda cfg: cfg.write_text("[5]"), "must hold a JSON object"),
+        (lambda cfg: cfg.mkdir(), "cannot be read"),
+    ],
+    ids=["missing", "list", "directory"],
 )
-def test_config_file_missing_or_not_an_object_is_a_usage_error(train_csv, tmp_path, capsys, content, said):
+def test_config_file_missing_or_not_an_object_is_a_usage_error(train_csv, tmp_path, capsys, make, said):
     cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
+    make(cfg)
     code, summary, _ = run_cli(
         capsys, "fit", "--config", str(cfg), "--data", train_csv, "--out", str(tmp_path / "m.json"),
     )

@@ -70,9 +70,22 @@ def test_fit_residual_invariant():
     knots = DesignMatrix(rng.uniform(size=(25, 3)))
     y = rng.standard_normal(25)
     g = gram_matrix(knots, T0)
-    model = fit(knots, y, T0, 0.7, gram=g)
+    model = fit(knots, y, T0, 0.7)
     resid = (g.values + 0.7 * np.eye(25)) @ model.alpha - y
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("n", [1, 31, 200])
+@pytest.mark.parametrize("family, order", [("har", 0), ("har", 1), ("sobolev", 0), ("rbf", 0)])
+def test_fit_alpha_is_the_gram_solve_bit_for_bit(family, order, n):
+    # fit's own Gram, overwritten in place by eigh, gives the bits of the
+    # solve on a copy of the same Gram
+    rng = rng_from(34, "solver", "own-gram", family, order, n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = rng.standard_normal(n)
+    spec = _family_specs(family, order)[-1]
+    ref = _loo_grid(*eigh(gram_matrix(knots, spec).values), y, np.array([0.01]))[0][:, 0]
+    assert np.array_equal(fit(knots, y, spec, 0.01).alpha, ref)
 
 
 def test_large_lambda_flattens_everything():
@@ -121,13 +134,6 @@ def test_fit_parameter_validation():
         fit(knots, [1.0], T0, -1.0)
     with pytest.raises(DimensionMismatchError):
         fit(knots, [1.0, 2.0], T0, 1.0)
-    other = DesignMatrix(np.array([[0.6]]))
-    g_other = gram_matrix(other, T0)
-    with pytest.raises(InvalidParameterError):
-        fit(knots, [1.0], T0, 1.0, gram=g_other)
-    g = gram_matrix(knots, T0)
-    with pytest.raises(InvalidParameterError):
-        fit(knots, [1.0], KernelSpec.sobolev(), 1.0, gram=g)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +482,7 @@ def test_suppression_at_the_bound():
         y = rng.standard_normal(30) * 3.0
         g = gram_matrix(knots, spec)
         lam0 = lambda_max(g, y, 1e-3)
-        model = fit(knots, y, spec, lam0, gram=g)
+        model = fit(knots, y, spec, lam0)
         assert np.max(np.abs(predict(model, knots))) <= 1e-3 * np.max(np.abs(y))
 
 
@@ -584,7 +590,7 @@ def test_tune_matches_per_lambda_loo_and_fit(family, order, n):
     assert model.spec == spec and model.lam == lam
     # fit and tune share one eigendecomposition, so the reference is an LU solve
     ref = np.linalg.solve(grams[spec].values + lam * np.eye(n), y)
-    for alpha in (model.alpha, fit(knots, y, spec, lam, gram=grams[spec]).alpha):
+    for alpha in (model.alpha, fit(knots, y, spec, lam).alpha):
         assert np.linalg.norm(alpha - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -648,7 +654,7 @@ def test_in_place_and_numpy_eigh_routes_are_bit_identical(monkeypatch, family, o
         result, model = tune(knots, y, family, order=order, grid_count=12)
         return (
             eigh(gram.values), result, model.alpha,
-            fit(knots, y, spec, 0.01, gram=gram).alpha, loocv_errors(gram, y, 0.01),
+            fit(knots, y, spec, 0.01).alpha, loocv_errors(gram, y, 0.01),
         )
 
     in_place, numpy_route = _on_both_routes(monkeypatch, run)
@@ -708,14 +714,14 @@ def test_in_place_eigh_raises_numpys_error_when_lapack_does_not_converge(monkeyp
 
 
 @pytest.mark.parametrize("n", [1, 40])
-def test_fit_and_loo_leave_the_gram_unchanged_and_read_only(n):
+def test_loo_and_lambda_max_leave_the_gram_unchanged_and_read_only(n):
     rng = rng_from(52, "solver", "gram-kept", n)
     knots = DesignMatrix(rng.uniform(size=(n, 3)))
     y = rng.standard_normal(n)
     gram = gram_matrix(knots, T0)
     before = gram.values.copy()
-    fit(knots, y, T0, 0.1, gram=gram)
     loocv_errors(gram, y, 0.1)
+    lambda_max(gram, y)
     assert np.array_equal(gram.values, before)
     assert not gram.values.flags.writeable
 
@@ -810,7 +816,7 @@ def test_monotone_shrinkage_over_grid():
     g = gram_matrix(knots, T0)
     lam0 = lambda_max(g, y)
     norms = [
-        float(np.linalg.norm(fit(knots, y, T0, float(lam), gram=g).alpha))
+        float(np.linalg.norm(fit(knots, y, T0, float(lam)).alpha))
         for lam in lambda_grid(lam0, 12)
     ]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
@@ -832,6 +838,22 @@ def test_tune_rejects_a_gram_that_overflows():
         with pytest.raises(InvalidInputError, match="overflows"):
             with pytest.warns(RuntimeWarning, match="overflow"):
                 call()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("call", [
+    lambda knots, y: tune(knots, y, "har"), lambda knots, y: lambda_max(gram_matrix(knots, T0), y),
+], ids=["tune", "lambda_max"])
+def test_a_target_whose_norm_leaves_float64_is_invalid_input(call, scale):
+    # every y_i is finite, but ||y|| computes as inf, or as 0 below max|y|
+    rng = rng_from(55, "solver", "y-scale")
+    knots, y = DesignMatrix(rng.uniform(size=(5, 2))), scale * rng.standard_normal(5)
+    with pytest.raises(InvalidInputError, match="norm of y overflows or underflows"):
+        if scale > 1.0:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                call(knots, y)
+        else:
+            call(knots, y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
