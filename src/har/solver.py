@@ -20,15 +20,15 @@ one Gram matrix per kernel candidate:
 
 `tune` factors each Gram once, K = V diag(w) V^T, by `eigh`: LAPACK
 dsyevd, the routine numpy.linalg.eigh calls, run through ctypes on the
-Gram's own buffer, which it overwrites with V.  eigmin(K) = w[0] sets
+Gram's own buffer, which it overwrites with V, once malloc_trim(0) has
+handed the heap earlier work freed back to the OS.  eigmin(K) = w[0] sets
 lambda0, two matrix products give alpha and the inverse diagonal at every
 grid point, and the winner's alpha is its column of that product, so no
 second factorization is made.  `fit`, for an explicit lambda, and
 `loocv_errors` make the same eigendecomposition and products at their one
 lambda, so one rule, in `_loo_grid`, decides when K + lambda I is singular,
-and a model's alpha always solves the lambda it records.  `eigh` overwrites
-the Gram `tune` or `fit` builds, and copies only the one `loocv_errors` is
-given.  Needs numpy alone.
+and a model's alpha always solves the lambda it records.  `eigh` copies
+only the Gram `loocv_errors` is given.  Needs numpy alone.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def fit(
     lam = _check_model_lambda(lam)
     w, V = eigh(_own_gram(knots, spec, threads).T)
     alpha = _loo_grid(w, V, yv, np.array([lam]))[0][:, 0]
-    if scaling is None:
-        scaling = ScalingParams.identity(knots.p)
+    scaling = ScalingParams.identity(knots.p) if scaling is None else scaling
     return FittedModel(knots=knots, spec=spec, lam=lam, alpha=alpha, scaling=scaling)
 
 
@@ -172,6 +171,17 @@ def _dsyevd():
     return routine
 
 
+@cache
+def _malloc_trim():
+    """The C library's malloc_trim, or None where it is missing (musl, macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def eigensolver() -> str:
     """The route `eigh` takes in this process."""
     return EIGENSOLVER_NUMPY if _dsyevd() is None else EIGENSOLVER_IN_PLACE
@@ -187,8 +197,11 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first, so the caller's matrix is left as it was.  The call holds V and a
     2n^2 workspace.  Where numpy's dsyevd cannot be found (see `eigensolver`),
     numpy.linalg.eigh runs instead and its C-ordered V is copied to Fortran
-    order, about 2n^2 more.
+    order, about 2n^2 more.  Both routes first call malloc_trim(0): heap that
+    glibc kept resident after earlier work freed it would add to that peak.
     """
+    if (trim := _malloc_trim()) is not None:
+        trim(0)  # before any workspace is allocated
     routine = _dsyevd()
     if routine is None:
         w, V = np.linalg.eigh(a)
@@ -275,7 +288,8 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
     y_max = float(np.max(np.abs(yv)))
     if y_max == 0.0:
         raise UndefinedScaleError("cannot scale the bound: y is identically zero")
-    norm = float(np.linalg.norm(yv))
+    with np.errstate(over="ignore"):  # an overflow is reported below, as the one error
+        norm = float(np.linalg.norm(yv))
     if not y_max <= norm < np.inf:  # exactly, ||y|| >= max|y|; y's squares left float64
         raise InvalidInputError("the norm of y overflows or underflows float64")
     return norm / (epsilon * y_max)
@@ -283,7 +297,8 @@ def _bound_factor(yv: np.ndarray, epsilon: float) -> float:
 
 def _max_row_norm(K: np.ndarray) -> float:
     # a row block at a time: the whole-matrix norm squares K into an n x n temporary
-    norm = float(max(np.linalg.norm(K[rows], axis=1).max() for rows in _row_slices(K.shape[0])))
+    with np.errstate(over="ignore"):
+        norm = float(max(np.linalg.norm(K[rows], axis=1).max() for rows in _row_slices(K.shape[0])))
     if not np.isfinite(norm):  # K is finite, but its squares are not (order-0 har from p = 600 on)
         raise InvalidInputError("the largest Gram row norm overflows float64")
     return norm

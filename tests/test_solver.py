@@ -713,6 +713,48 @@ def test_in_place_eigh_raises_numpys_error_when_lapack_does_not_converge(monkeyp
         eigh(np.eye(2))
 
 
+@pytest.mark.parametrize("route", [pytest.param("in-place", marks=in_place_only), "numpy"])
+def test_eigh_trims_the_heap_before_lapack_runs(monkeypatch, route):
+    calls = []
+    monkeypatch.setattr(solver, "_malloc_trim", lambda: lambda pad: calls.append(("trim", pad)))
+    if route == "in-place":
+        routine = solver._dsyevd()
+        monkeypatch.setattr(solver, "_dsyevd", lambda: lambda *args: (calls.append("lapack"), routine(*args)))
+    else:
+        numpy_eigh = np.linalg.eigh
+        monkeypatch.setattr(solver, "_dsyevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (calls.append("lapack"), numpy_eigh(a))[1])
+    K = gram_matrix(DesignMatrix(rng_from(57, "solver", "heap-trim").uniform(size=(40, 3))), T0).values
+    for _ in range(2):
+        calls.clear()
+        w, V = eigh(K)
+        assert calls[0] == ("trim", 0) and calls.count(("trim", 0)) == 1 and "lapack" in calls
+        assert np.allclose((V * w) @ V.T, K, rtol=0.0, atol=1e-12 * np.abs(K).max())
+
+
+@pytest.mark.parametrize("n", [1, 31, 200])
+@pytest.mark.parametrize("family, order", [("har", 0), ("har", 1), ("sobolev", 0), ("rbf", 0)])
+def test_eigh_without_heap_trim_is_bit_identical(monkeypatch, family, order, n):
+    rng = rng_from(56, "solver", "no-heap-trim", family, order, n)
+    knots = DesignMatrix(rng.uniform(size=(n, 3)))
+    y = np.sin(5.0 * knots.values[:, 0]) * knots.values[:, 1] + 0.1 * rng.standard_normal(n)
+    spec = _family_specs(family, order)[-1]
+    gram = gram_matrix(knots, spec)
+
+    def run():
+        result, model = tune(knots, y, family, order=order, grid_count=12)
+        return result.scores, result.selected, model.alpha, fit(knots, y, spec, 0.01).alpha, loocv_errors(gram, y, 0.01)
+
+    trim = solver._malloc_trim
+    for routine in (solver._dsyevd(), None):  # the in-place route where numpy has it, then numpy.linalg.eigh
+        monkeypatch.setattr(solver, "_dsyevd", lambda: routine)
+        monkeypatch.setattr(solver, "_malloc_trim", trim)
+        trimmed = run()
+        monkeypatch.setattr(solver, "_malloc_trim", lambda: None)
+        for a, b in zip(trimmed, run(), strict=True):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("n", [1, 40])
 def test_loo_and_lambda_max_leave_the_gram_unchanged_and_read_only(n):
     rng = rng_from(52, "solver", "gram-kept", n)
@@ -832,11 +874,15 @@ def test_tune_rejects_a_gram_that_overflows():
         lambda: gram_matrix(knots, T0),
         lambda: fit(knots, y, T0, 0.5),
         lambda: tune(knots, y, "har"),
-        lambda: tune(finite, y, "har"),
-        lambda: lambda_max(gram_matrix(finite, T0), y),
     ):
         with pytest.raises(InvalidInputError, match="overflows"):
             with pytest.warns(RuntimeWarning, match="overflow"):
+                call()
+    # the row norms' overflow is reported by that error alone, with no numpy warning ahead of it
+    for call in (lambda: tune(finite, y, "har"), lambda: lambda_max(gram_matrix(finite, T0), y)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="overflows"):
                 call()
 
 
@@ -845,14 +891,12 @@ def test_tune_rejects_a_gram_that_overflows():
     lambda knots, y: tune(knots, y, "har"), lambda knots, y: lambda_max(gram_matrix(knots, T0), y),
 ], ids=["tune", "lambda_max"])
 def test_a_target_whose_norm_leaves_float64_is_invalid_input(call, scale):
-    # every y_i is finite, but ||y|| computes as inf, or as 0 below max|y|
+    # every y_i is finite, but ||y|| computes as inf, or as 0 below max|y|; the error alone reports it
     rng = rng_from(55, "solver", "y-scale")
     knots, y = DesignMatrix(rng.uniform(size=(5, 2))), scale * rng.standard_normal(5)
-    with pytest.raises(InvalidInputError, match="norm of y overflows or underflows"):
-        if scale > 1.0:
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                call(knots, y)
-        else:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInputError, match="norm of y overflows or underflows"):
             call(knots, y)
 
 
