@@ -158,12 +158,9 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        bandwidth = d.get("bandwidth")  # text in a (hand-edited) model file is converted here
-        return cls(
-            family=d["family"],
-            order=d.get("order", 0) or 0,
-            bandwidth=float(bandwidth) if isinstance(bandwidth, str) else bandwidth,
-        )
+        """The spec `to_dict` wrote, checked as construction checks it; a
+        key construction does not take is a TypeError."""
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +188,16 @@ class DesignMatrix:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash (sha256 over shape and row-major float64 bytes)."""
-        h = hashlib.sha256()
-        h.update(f"{self.n}x{self.p}:".encode())
-        h.update(np.ascontiguousarray(self.values).tobytes())
-        return h.hexdigest()
+        return _array_fingerprint(self.values)
+
+
+def _array_fingerprint(values: np.ndarray) -> str:
+    """sha256 over the shape (``"3x2:"``) and row-major bytes of `values`:
+    `DesignMatrix.fingerprint`, and the knots' part of a model fingerprint."""
+    h = hashlib.sha256()
+    h.update(("x".join(map(str, values.shape)) + ":").encode())
+    h.update(np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,6 +59,7 @@ from .kernels import (
     DesignMatrix,
     GramMatrix,
     KernelSpec,
+    _array_fingerprint,
     _cross_kernel_product,
     _row_slices,
     gram_matrix,
@@ -428,14 +429,18 @@ def tune(
 # ---------------------------------------------------------------------------
 # persistence
 
-def _model_fingerprint(spec, knots, lam, scaling, alpha, feature_names=None) -> str:
-    """sha256 of one JSON list of everything that changes predictions, one
-    element each, so no value can move from one into the next and keep the
-    hash: kernel, knots (their own shape-prefixed hash), lambda, scaling mins
+def _model_fingerprint(doc: dict) -> str:
+    """sha256 of one JSON list of the model document's prediction inputs, as
+    it holds them and one element each, so no value can move from one into
+    the next and keep the hash: the kernel dict, the knots' float64 values
+    hashed as `DesignMatrix.fingerprint` hashes them, lambda, scaling mins
     and maxs, alpha, and the column names ``har predict`` selects its inputs
     by (null when the file records none)."""
-    mins, maxs = scaling
-    parts = [spec.to_dict(), knots.fingerprint, lam, mins.tolist(), maxs.tolist(), alpha.tolist(), feature_names]
+    scaling = doc["scaling"]
+    parts = [
+        doc["kernel"], _array_fingerprint(np.asarray(doc["knots"], dtype=np.float64)), doc["lambda"],
+        scaling["mins"], scaling["maxs"], doc["alpha"], doc.get("metadata", {}).get("feature_names"),
+    ]
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
@@ -454,49 +459,38 @@ def _check_feature_names(names, p: int) -> None:
 
 
 def model_to_dict(model: FittedModel, metadata: dict | None = None) -> dict:
-    """Versioned JSON-ready form.  Floats survive exactly: json uses repr,
-    the shortest decimal that round-trips to the same double."""
+    """Versioned JSON-ready form, carrying its own fingerprint.  Floats
+    survive exactly: json uses repr, the shortest decimal that round-trips."""
     metadata = dict(metadata) if metadata else {}
     _check_feature_names(metadata.get("feature_names"), model.knots.p)
-    return {
+    doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kernel": model.spec.to_dict(),
         "lambda": model.lam,
         "scaling": model.scaling.to_dict(),
         "knots": model.knots.values.tolist(),
         "alpha": model.alpha.tolist(),
-        "model_fingerprint": _model_fingerprint(
-            model.spec, model.knots, model.lam, (model.scaling.mins, model.scaling.maxs), model.alpha,
-            metadata.get("feature_names"),
-        ),
+        "model_fingerprint": None,
         "metadata": metadata,
     }
+    doc["model_fingerprint"] = _model_fingerprint(doc)
+    return doc
 
 
 def save_model(model: FittedModel, path, metadata: dict | None = None) -> None:
     write_json(path, model_to_dict(model, metadata))
 
 
-def _read(doc: dict, key: str, convert):
-    """convert(doc[key]); a value of the wrong type or shape is a SchemaError
-    naming the key, while the package's own errors keep their classes."""
-    try:
-        return convert(doc[key])
-    except HarError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"model file key {key!r} is missing or malformed: {exc!r}") from None
-
-
 def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
-    """The model a format `MODEL_FORMAT_VERSION` document holds.  Each
-    prediction input is parsed once, and all of them, ``metadata.feature_names``
-    included, must match the file's fingerprint before the model is built,
-    so any edit fails as a fingerprint mismatch; the names must then pass
-    `_check_feature_names`.  Any other format version fails to load: a
-    prediction input that joins the fingerprint bumps the version, so an
-    older file cannot prove it is unedited, and the fix is to re-fit the
-    model.  Keys outside the prediction inputs are ignored."""
+    """The model a format `MODEL_FORMAT_VERSION` document holds.  Its
+    prediction inputs, ``metadata.feature_names`` included, are hashed as it
+    holds them and must match its fingerprint before any is parsed, so any
+    edit fails as a fingerprint mismatch; the names must then pass
+    `_check_feature_names`.  A missing key, or a value that cannot be hashed
+    or built, is a SchemaError; the package's own errors keep their classes.
+    Any other format version fails to load: a prediction input that joins
+    the fingerprint bumps the version, so an older file cannot prove it is
+    unedited; re-fit the model.  Keys outside the inputs are ignored."""
     version = doc.get("format_version")
     # a JSON integer only: true == 1 and 1.0 == 1 in Python
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -507,21 +501,23 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError(f"model file key 'metadata' is a {type(metadata).__name__}, not an object")
-    floats = partial(np.asarray, dtype=np.float64)
-    parts = dict(
-        spec=_read(doc, "kernel", KernelSpec.from_dict),
-        knots=_read(doc, "knots", lambda v: DesignMatrix(floats(v))),
-        lam=_read(doc, "lambda", float),
-        scaling=_read(doc, "scaling", lambda v: (floats(v["mins"]), floats(v["maxs"]))),
-        alpha=_read(doc, "alpha", floats),
-    )
-    if _model_fingerprint(**parts, feature_names=metadata.get("feature_names")) != doc.get("model_fingerprint"):
-        raise SchemaError(
-            "model fingerprint mismatch: kernel, lambda, scaling, knots, "
-            "alpha or metadata feature_names was edited"
+    try:
+        if _model_fingerprint(doc) != doc["model_fingerprint"]:
+            raise SchemaError(
+                "model fingerprint mismatch: kernel, lambda, scaling, knots, "
+                "alpha or metadata feature_names was edited"
+            )
+        scaling = doc["scaling"]
+        model = FittedModel(
+            knots=DesignMatrix(doc["knots"]), spec=KernelSpec.from_dict(doc["kernel"]), lam=doc["lambda"],
+            alpha=doc["alpha"], scaling=ScalingParams(scaling["mins"], scaling["maxs"]),
         )
-    _check_feature_names(metadata.get("feature_names"), parts["knots"].p)
-    return FittedModel(**dict(parts, scaling=ScalingParams(*parts["scaling"]))), metadata
+    except HarError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"model file is missing a key or holds a malformed value: {exc!r}") from None
+    _check_feature_names(metadata.get("feature_names"), model.knots.p)
+    return model, metadata
 
 
 def load_model(path) -> tuple[FittedModel, dict]:

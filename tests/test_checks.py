@@ -85,8 +85,7 @@ def test_numeric_parameter_off_type_or_range_is_invalid_parameter(call, value):
         call(value)
 
 
-def test_numpy_scalars_and_bandwidth_text_are_accepted():
-    assert KernelSpec.from_dict({"family": "rbf", "bandwidth": "1.5"}).bandwidth == 1.5
+def test_numpy_scalars_are_accepted():
     assert KernelSpec.har(np.int64(2)).order == 2
     assert SplitSpec(train_fraction=np.float32(0.5), max_rows=np.int64(10)).max_rows == 10
     check_tuning(np.float64(0.01), np.int32(4))

@@ -253,7 +253,7 @@ def test_predict_schema_mismatch_fails(train_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value, named",
-    [(None, "kernel", {}, "'kernel'"), ("metadata", "feature_names", 5, "feature_names")],
+    [(None, "kernel", {}, "model fingerprint mismatch"), ("metadata", "feature_names", 5, "feature_names")],
 )
 def test_predict_malformed_model_reports_schema_error(
     train_csv, tmp_path, capsys, section, key, value, named

@@ -956,29 +956,38 @@ def test_model_file_tamper_detected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "path, change",
+    "spec, path, change",
     [
-        (("alpha", 1), lambda a: float(np.nextafter(a, np.inf))),
-        (("lambda",), lambda lam: 2.0 * lam),
-        (("kernel", "order"), lambda order: 1),
-        (("scaling", "maxs", 0), lambda hi: 2.0 * hi),
+        (T0, ("alpha", 1), lambda a: float(np.nextafter(a, np.inf))),
+        (T0, ("lambda",), lambda lam: 2.0 * lam),
+        (T0, ("kernel", "order"), lambda order: 1),
+        (T0, ("scaling", "maxs", 0), lambda hi: 2.0 * hi),
         # edits the model's own checks would also reject: the fingerprint must catch them first
-        (("alpha",), lambda alpha: alpha[:-1]),
-        (("scaling", "maxs"), lambda maxs: maxs[:-1]),
-        (("lambda",), lambda lam: -1.0),
-        (("knots", 2, 1), lambda v: 0.5 * v),
+        (T0, ("alpha",), lambda alpha: alpha[:-1]),
+        (T0, ("scaling", "maxs"), lambda maxs: maxs[:-1]),
+        (T0, ("lambda",), lambda lam: -1.0),
+        (T0, ("knots", 2, 1), lambda v: 0.5 * v),
+        (T0, ("kernel", "order"), lambda order: 13),
+        (T0, ("kernel", "family"), lambda family: "cubic"),
+        (T0, ("knots", 0, 0), lambda v: float("nan")),
+        (T0, ("knots",), lambda knots: []),
+        (KernelSpec.rbf(0.5), ("kernel", "bandwidth"), lambda bw: -1.0),
+        # edits the parse would coerce back to a valid value: hashed as the file holds them
+        (T0, ("kernel",), lambda kernel: {k: v for k, v in kernel.items() if k != "order"}),
+        (KernelSpec.rbf(0.5), ("kernel", "bandwidth"), lambda bw: "0.5"),
         # the last scaling value moved to the front of alpha: the same floats in the same order
-        ((), lambda doc: dict(doc, alpha=[doc["scaling"]["maxs"].pop(), *doc["alpha"]])),
+        (T0, (), lambda doc: dict(doc, alpha=[doc["scaling"]["maxs"].pop(), *doc["alpha"]])),
     ],
     ids=[
         "alpha", "lambda", "kernel", "scaling", "alpha-shortened", "scaling-shortened", "negative-lambda", "knot",
-        "value-across-a-boundary",
+        "order-13", "unknown-family", "nan-knot", "no-knots", "negative-bandwidth", "order-deleted",
+        "bandwidth-text", "value-across-a-boundary",
     ],
 )
-def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change):
+def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, spec, path, change):
     rng = rng_from(49, "solver", "tamper")
     knots = DesignMatrix(rng.uniform(size=(6, 2)))
-    doc = model_to_dict(fit(knots, rng.standard_normal(6), T0, 0.5))
+    doc = model_to_dict(fit(knots, rng.standard_normal(6), spec, 0.5))
     model_from_dict(json.loads(json.dumps(doc)))
     root = {"doc": doc}  # so that an empty path edits the whole document
     *parents, last = ("doc", *path)
@@ -988,7 +997,7 @@ def test_model_file_edit_of_any_prediction_input_rejected(tmp_path, path, change
     target[last] = change(target[last])
     file = tmp_path / "m.json"
     file.write_text(json.dumps(root["doc"]))
-    with pytest.raises(SchemaError, match="model fingerprint"):
+    with pytest.raises(SchemaError, match="model fingerprint mismatch"):
         load_model(file)
 
 
@@ -1022,11 +1031,8 @@ def test_feature_names_that_do_not_name_each_column_once_are_rejected(names):
         model_to_dict(model, {"feature_names": names})
     # a file fingerprinted with them, so only the names rule can reject it
     doc = dict(model_to_dict(model), metadata={"feature_names": names})
-    fingerprint = _model_fingerprint(
-        model.spec, model.knots, model.lam, (model.scaling.mins, model.scaling.maxs), model.alpha, names
-    )
     with pytest.raises(SchemaError, match=message):
-        model_from_dict(dict(doc, model_fingerprint=fingerprint))
+        model_from_dict(dict(doc, model_fingerprint=_model_fingerprint(doc)))
 
 
 def test_failed_save_model_keeps_the_old_file(tmp_path):
@@ -1080,13 +1086,9 @@ def test_model_file_version_and_keys(tmp_path):
     named = fit(DesignMatrix(np.array([[0.25, 0.5], [0.75, 0.125]])), [1.0, -2.0], T0, 0.5)
     v1 = dict(model_to_dict(model), format_version=1, alpha=[10.0 * a for a in model.alpha.tolist()])
     del v1["model_fingerprint"]  # version 1 fingerprinted the knots only
-    v2 = dict(  # version 2 fingerprinted everything but the feature names
-        model_to_dict(named), format_version=2,
-        model_fingerprint=_model_fingerprint(
-            named.spec, named.knots, named.lam, (named.scaling.mins, named.scaling.maxs), named.alpha
-        ),
-        metadata={"feature_names": ["v", "u"]},
-    )
+    # version 2 fingerprinted everything but the feature names
+    v2 = dict(model_to_dict(named), format_version=2)
+    v2 = dict(v2, model_fingerprint=_model_fingerprint(v2), metadata={"feature_names": ["v", "u"]})
     # version 3 framed no input, so a value could move from one into the next
     v3 = dict(model_to_dict(model), format_version=3, gram_fingerprint=model.knots.fingerprint)
     for doc in (v1, v2, v3):
@@ -1107,33 +1109,70 @@ def test_model_file_version_and_keys(tmp_path):
         load_model(bad)
 
 
+DELETED = object()
+
+
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, said",
     [
-        ("kernel", {}),
-        ("kernel", "har"),
-        ("kernel", {"family": "rbf", "bandwidth": "wide"}),
-        ("scaling", {}),
-        ("scaling", {"mins": ["a", "b"], "maxs": [1, 1]}),
-        ("lambda", "small"),
-        ("alpha", ["x", 1.0]),
-        ("knots", [[0.5], [0.7, 0.1]]),
-        ("metadata", ["note"]),
+        # a value the hash takes as it is: the fingerprint no longer matches
+        ("kernel", {}, "model fingerprint mismatch"),
+        ("kernel", "har", "model fingerprint mismatch"),
+        ("kernel", {"family": "rbf", "bandwidth": "wide"}, "model fingerprint mismatch"),
+        ("scaling", {"mins": ["a", "b"], "maxs": [1, 1]}, "model fingerprint mismatch"),
+        ("lambda", "small", "model fingerprint mismatch"),
+        ("alpha", ["x", 1.0], "model fingerprint mismatch"),
+        # a key the hash needs is missing, or a value it cannot take
+        ("scaling", {}, "missing a key.*'mins'"),
+        ("knots", [[0.5], [0.7, 0.1]], "malformed value"),
+        ("metadata", ["note"], "'metadata'"),
+        ("alpha", DELETED, "missing a key.*'alpha'"),
+        ("model_fingerprint", DELETED, "missing a key.*'model_fingerprint'"),
+    ],
+    ids=[
+        "kernel-empty", "kernel-text", "bandwidth-text", "scaling-text", "lambda-text", "alpha-text",
+        "scaling-empty", "knots-ragged", "metadata-list", "alpha-deleted", "fingerprint-deleted",
     ],
 )
-def test_malformed_model_file_raises_schema_error_naming_key(key, value):
+def test_malformed_model_file_is_a_fingerprint_mismatch_or_names_what_cannot_be_hashed(key, value, said):
     knots = DesignMatrix(np.array([[0.5], [0.7]]))
     doc = model_to_dict(fit(knots, [1.0, 2.0], T0, 0.5))
-    doc[key] = value
-    with pytest.raises(SchemaError, match=repr(key)):
+    if value is DELETED:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(SchemaError, match=said):
         model_from_dict(json.loads(json.dumps(doc)))
 
 
 def test_model_file_with_an_unknown_kernel_family_keeps_its_error_class():
     doc = model_to_dict(fit(DesignMatrix(np.array([[0.5], [0.7]])), [1.0, 2.0], T0, 0.5))
     doc["kernel"] = {"family": "cubic"}
+    doc["model_fingerprint"] = _model_fingerprint(doc)  # so the kernel's own check is reached
     with pytest.raises(InvalidParameterError):
         model_from_dict(doc)
+
+
+# a saved format-4 file (3 knots x 2 features, har order 0, with feature names)
+# and the predictions made when it was saved: the hash recipe and layout stay
+GOLDEN_FORMAT_4 = (
+    '{"format_version": 4, "kernel": {"family": "har", "order": 0, "bandwidth": null}, "lambda": 0.25, '
+    '"scaling": {"mins": [-1.0, 2.0], "maxs": [3.0, 6.5]}, '
+    '"knots": [[0.125, 0.75], [0.5, 0.25], [0.875, 0.625]], '
+    '"alpha": [0.11595014703822988, -0.7979274611398955, 0.6721747654390134], '
+    '"model_fingerprint": "9b0383e9f1358c38ac4c68ac3d55ea6838774f958ab8d6a3ccf6b1324f5a05dd", '
+    '"metadata": {"feature_names": ["u", "v"]}}'
+)
+
+
+def test_golden_format_4_file_loads_predicts_and_saves_the_same_text(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(GOLDEN_FORMAT_4)
+    model, metadata = load_model(path)
+    test = DesignMatrix(np.array([[0.0, 0.0], [0.3, 0.9], [1.0, 1.0], [0.5, 0.25]]))
+    expected = [-0.029407645987956615, 0.9710124632404421, 2.0638566027167045, -0.3005181347150253]
+    assert np.array_equal(predict(model, test), np.array(expected))
+    assert json.dumps(model_to_dict(model, metadata)) == GOLDEN_FORMAT_4
 
 
 def test_model_validation():
