@@ -23,9 +23,13 @@ Every random draw flows through `rng_from(seed, *key)` with a fixed string
 key per purpose, so cells are independent of execution order: the test draw
 for replication r uses key ("convergence", "test", r), the training draw
 for size n uses ("convergence", "train", n, r), and the split seed for a
-benchmark dataset uses ("bench", name, r, "split-seed").  Serial and
-parallel schedules therefore produce identical reports.  Within one
-generator, features are drawn before noise.
+benchmark dataset uses ("bench", name, r, "split-seed").  Any order of
+the cells therefore produces the same report.  Within one generator,
+features are drawn before noise.
+
+Each report is built from what its runner measured (the demo's grid and
+fits, each replication's RMSE, each repeat's RMSE) and derives its
+summaries from that once, so no report can contradict itself.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .data import (
     rng_from,
     split_dataset,
 )
-from .exceptions import HarError, InvalidInputError, InvalidParameterError, _check_int
+from .exceptions import HarError, InvalidInputError, InvalidParameterError, _as_matrix, _check_int
 from .kernels import FAMILIES, FAMILY_HAR, DesignMatrix, _resolve_workers
 from .solver import DEFAULT_EPSILON, DEFAULT_GRID_COUNT, check_tuning, predict, tune
 
@@ -126,12 +130,15 @@ def theoretical_rate(n: int, p: int = INTERACTION_P) -> float:
 @dataclass(frozen=True, eq=False)
 class DemoResult:
     grid: np.ndarray
-    truth: np.ndarray
+    truth: np.ndarray = field(init=False)  # demo_mean(grid)
     predictions: dict
     chosen: dict
     train_x: np.ndarray
     train_y: np.ndarray
     config: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "truth", demo_mean(self.grid))
 
     def table(self) -> tuple:
         """CSV header and rows: the grid, the true mean, each family's fit."""
@@ -185,7 +192,7 @@ def run_demo(
         "generator": GENERATOR_NAME,
     }
     return DemoResult(
-        grid=grid, truth=demo_mean(grid), predictions=predictions,
+        grid=grid, predictions=predictions,
         chosen=chosen, train_x=x_train, train_y=y_train, config=config,
     )
 
@@ -195,27 +202,37 @@ def run_demo(
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One sample size's mean RMSE, with the benchmark curve at that size and
+    the RMSE's ratio to it."""
+
     n: int
     mean_rmse: float
-    theoretical_rate: float
-    ratio: float
+    theoretical_rate: float = field(init=False)
+    ratio: float = field(init=False)
+
+    def __post_init__(self):
+        rate = theoretical_rate(_check_int("n", self.n, 2, why="the rate is 0 at n=1"))
+        object.__setattr__(self, "theoretical_rate", rate)
+        object.__setattr__(self, "ratio", self.mean_rmse / rate)
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise InvalidInputError(f"non-finite report value at n={self.n}")
 
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    rows: tuple
+    """A convergence study from its replication table: ``rmse_table`` maps
+    each sample size, as text and increasing, to its per-replication RMSEs,
+    and ``rows`` holds their means."""
+
+    rows: tuple = field(init=False)
     config: dict
-    rmse_table: dict = field(default_factory=dict)
+    rmse_table: dict
 
     def __post_init__(self):
-        last = 0
-        for row in self.rows:
-            if row.n <= last:
-                raise InvalidInputError("row sample sizes must be strictly increasing")
-            last = row.n
-            for v in (row.mean_rmse, row.theoretical_rate, row.ratio):
-                if not math.isfinite(v):
-                    raise InvalidInputError(f"non-finite report value at n={row.n}")
+        errors = _as_matrix(list(self.rmse_table.values()), "rmse_table")
+        sizes = check_study(n_values=(int(n) if str(n).isdigit() else n for n in self.rmse_table))
+        rows = tuple(ConvergenceRow(n, float(rmses.mean())) for n, rmses in zip(sizes, errors))
+        object.__setattr__(self, "rows", rows)
 
     def table(self) -> tuple:
         """CSV header and rows: one row per sample size."""
@@ -227,20 +244,18 @@ class ConvergenceReport:
 
         ``rate`` holds the least-squares slope of log mean RMSE on log n and
         the min, median and max of the same slope per replication, next to
-        the paper's exponent -1/3.  A slope needs two sizes, and the
-        per-replication summary the replication table too; a missing one is
+        the paper's exponent -1/3.  Both need two sizes; below that they are
         None (JSON null).
         """
         log_n = np.log([row.n for row in self.rows])
         slope = replication_slopes = None
         if len(self.rows) >= 2:
             slope = float(np.polyfit(log_n, np.log([row.mean_rmse for row in self.rows]), 1)[0])
-            if self.rmse_table:
-                by_replication = np.transpose([self.rmse_table[str(row.n)] for row in self.rows])
-                slopes = [np.polyfit(log_n, np.log(rmses), 1)[0] for rmses in by_replication]
-                replication_slopes = {
-                    "min": float(np.min(slopes)), "median": float(np.median(slopes)), "max": float(np.max(slopes)),
-                }
+            by_replication = np.transpose(list(self.rmse_table.values()))
+            slopes = [np.polyfit(log_n, np.log(rmses), 1)[0] for rmses in by_replication]
+            replication_slopes = {
+                "min": float(np.min(slopes)), "median": float(np.median(slopes)), "max": float(np.max(slopes)),
+            }
         return {
             "config": self.config,
             "rows": [asdict(row) for row in self.rows],
@@ -264,9 +279,9 @@ def _sequence(name: str, items, what: str) -> tuple:
 
 def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int = 1) -> tuple:
     """The one owner of the study size rules (strictly increasing sample
-    sizes from 2 up, at least one repeat and one test row), for the runners
-    and callers that check before they draw or read any data.  Returns
-    n_values as a tuple of ints."""
+    sizes from 2 up, at least one repeat and one test row), for the runners,
+    the sizes of a `ConvergenceReport`, and callers that check before they
+    draw or read any data.  Returns n_values as a tuple of ints."""
     n_values = tuple(
         _check_int("each n_values item", n, 2, why="the rate is 0 at n=1")
         for n in _sequence("n_values", n_values, "sample sizes")
@@ -280,13 +295,15 @@ def check_study(*, n_values=DEFAULT_N_VALUES, repeats: int = 1, test_size: int =
 
 def check_datasets(datasets) -> tuple:
     """The one owner of the dataset path rules (a sequence of ``str`` or
-    ``os.PathLike`` paths, taken once so a generator works, no two sharing a
-    file stem, which names the dataset's cells and keys its split seeds), for
-    `run_benchmark` and callers that check before any file is read.  Returns
-    the paths and their stems as two tuples."""
+    ``os.PathLike`` paths, taken once so a generator works, at least one,
+    no two sharing a file stem, which names the dataset's cells and keys its
+    split seeds), for `run_benchmark` and callers that check before any file
+    is read.  Returns the paths and their stems as two tuples."""
     if isinstance(datasets, (str, os.PathLike)):
         raise InvalidParameterError(f"dataset_paths must be a list of paths, not the one path {datasets!r}")
     paths = _sequence("dataset_paths", datasets, "paths")
+    if not paths:
+        raise InvalidParameterError("dataset_paths must name at least one path")
     names = []
     for path in paths:
         if not isinstance(path, (str, os.PathLike)):
@@ -332,11 +349,6 @@ def run_convergence(
             if progress is not None:
                 progress(f"convergence n={n} replication {r + 1}/{replications} rmse={errors[i, r]:.4f}")
 
-    rows = []
-    for i, n in enumerate(n_values):
-        mean_rmse = float(errors[i].mean())
-        rate = theoretical_rate(n)
-        rows.append(ConvergenceRow(n=n, mean_rmse=mean_rmse, theoretical_rate=rate, ratio=mean_rmse / rate))
     config = {
         "operation": "convergence",
         "seed": int(seed),
@@ -349,7 +361,7 @@ def run_convergence(
         "generator": GENERATOR_NAME,
     }
     rmse_table = {str(n): [float(v) for v in errors[i]] for i, n in enumerate(n_values)}
-    return ConvergenceReport(rows=tuple(rows), config=config, rmse_table=rmse_table)
+    return ConvergenceReport(config=config, rmse_table=rmse_table)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +369,22 @@ def run_convergence(
 
 @dataclass(frozen=True)
 class BenchmarkCell:
+    """One method on one dataset: each repeat's test RMSE, their mean and
+    sample standard deviation (0.0 for one repeat), and the summed time."""
+
     dataset: str
     method: str
     n: int
     p: int
-    mean_rmse: float
-    sd_rmse: float
+    mean_rmse: float = field(init=False)
+    sd_rmse: float = field(init=False)
     wall_clock_seconds: float
     rmses: tuple  # last: the CSV table leaves it out
+
+    def __post_init__(self):
+        vals = np.array(self.rmses)
+        object.__setattr__(self, "mean_rmse", float(vals.mean()))
+        object.__setattr__(self, "sd_rmse", float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,16 +441,10 @@ def _bench_one_dataset(
             per_method[method].append(err)
             if progress is not None:
                 progress(f"bench {name} {method} repeat {r + 1}/{repeats} rmse={err:.4f}")
-    cells = []
-    for method in methods:
-        vals = np.array(per_method[method])
-        sd = float(vals.std(ddof=1)) if repeats > 1 else 0.0
-        cells.append(BenchmarkCell(
-            dataset=name, method=method, n=n_used, p=p_used,
-            mean_rmse=float(vals.mean()), sd_rmse=sd,
-            wall_clock_seconds=walls[method], rmses=tuple(float(v) for v in vals),
-        ))
-    return cells
+    return [
+        BenchmarkCell(name, method, n_used, p_used, walls[method], tuple(per_method[method]))
+        for method in methods
+    ]
 
 
 def run_benchmark(

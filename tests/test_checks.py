@@ -63,12 +63,12 @@ ENTRY_POINTS = {
     "run_convergence.test_size": (lambda v: _convergence(test_size=v), [2.5, "10", True, 0]),
     "run_convergence.n_values": (lambda v: _convergence(n_values=v), [(20.5, 40), ("20", "40"), (1, 5), 5, None]),
     "check_study.repeats": (lambda v: check_study(repeats=v), [1.0, "1", True, 0]),
-    "run_benchmark.repeats": (lambda v: run_benchmark([], 0, repeats=v), [1.5, "1", 0]),
+    "run_benchmark.repeats": (lambda v: run_benchmark(["absent.csv"], 0, repeats=v), [1.5, "1", 0]),
     "run_benchmark.dataset_paths": (
         lambda v: run_benchmark(v, 0, repeats=1), ["a.csv", Path("a.csv"), 5, None, [5], ["a.csv", None]]
     ),
-    "check_datasets": (check_datasets, ["a.csv", Path("a.csv"), 5, None, [5], ["a/x.csv", Path("b/x.csv")]]),
-    "run_benchmark.methods": (lambda v: run_benchmark([], 0, methods=v, repeats=1), [5]),
+    "check_datasets": (check_datasets, ["a.csv", Path("a.csv"), 5, None, [5], ["a/x.csv", Path("b/x.csv")], []]),
+    "run_benchmark.methods": (lambda v: run_benchmark(["absent.csv"], 0, methods=v, repeats=1), [5]),
 }
 
 

@@ -504,6 +504,7 @@ _OFF_RULE = [
     ("bench", ["--train-frac", "1.5"], "--train-frac"),
     ("bench", ["--max-rows", "1"], "--max-rows"),
     ("bench", ["--datasets", "missing.csv,d2/missing.csv"], "--datasets"),
+    ("bench", ["--datasets", ","], "--datasets"),
 ]
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -8,11 +9,13 @@ import pytest
 
 from har import experiments
 from har.data import rng_from, write_json, write_table
-from har.exceptions import InvalidInputError, InvalidParameterError
+from har.exceptions import HarError, InvalidInputError, InvalidParameterError
 from har.experiments import (
     INTERACTION_X0,
+    BenchmarkCell,
     ConvergenceReport,
     ConvergenceRow,
+    DemoResult,
     demo_mean,
     interaction_mean,
     run_benchmark,
@@ -159,8 +162,6 @@ def test_convergence_rate_block_is_the_least_squares_slope():
         "min": min(slopes), "median": sorted(slopes)[1], "max": max(slopes),
     }
     assert rate["reference_exponent"] == -1 / 3
-    no_table = ConvergenceReport(rows=rep.rows, config={}).document()["rate"]
-    assert no_table["slope"] == rate["slope"] and no_table["replication_slopes"] is None
 
 
 def test_convergence_rate_block_null_at_one_size(tmp_path):
@@ -184,13 +185,43 @@ def test_convergence_validation():
         run_convergence(1, n_values=(), replications=1, test_size=10)
     with pytest.raises(InvalidParameterError):
         run_convergence(1, n_values=(10,), replications=0, test_size=10)
-    with pytest.raises(InvalidInputError):
-        ConvergenceReport(
-            rows=(ConvergenceRow(10, 0.1, 1.0, 0.1), ConvergenceRow(10, 0.1, 1.0, 0.1)),
-            config={},
-        )
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        ConvergenceReport(config={}, rmse_table={"20": [0.1], "10": [0.1]})
+    with pytest.raises(InvalidInputError, match="^rmse_table contains NaN or infinite entries$"):
+        ConvergenceReport(config={}, rmse_table={"10": [math.nan]})
     with pytest.raises(InvalidInputError, match="non-finite report value at n=10"):
-        ConvergenceReport(rows=(ConvergenceRow(10, math.nan, 1.0, math.nan),), config={})
+        ConvergenceRow(10, math.nan)
+
+
+def test_study_records_derive_their_summaries():
+    # every summary a record holds is computed from what it was built from,
+    # so a report cannot state a mean, rate or ratio its table does not give
+    with pytest.raises(TypeError):
+        ConvergenceReport(rows=(ConvergenceRow(10, 0.5, 1.0, 7.0),), config={}, rmse_table={"10": [0.1]})
+    table = {"10": [0.2, 0.4], "20": [0.1, 0.3], "40": [0.05, 0.15]}
+    rep = ConvergenceReport(config={}, rmse_table=table)
+    assert [row.n for row in rep.rows] == [10, 20, 40]
+    for row, rmses in zip(rep.rows, table.values()):
+        assert row.mean_rmse == np.mean(rmses)
+        assert row.theoretical_rate == theoretical_rate(row.n)
+        assert row.ratio == np.mean(rmses) / theoretical_rate(row.n)
+    assert rep.document()["rows"] == [dataclasses.asdict(row) for row in rep.rows]
+    assert ConvergenceReport(config={}, rmse_table={"10": [0.1]}).rows == (ConvergenceRow(10, 0.1),)
+
+    cell = BenchmarkCell("d", "har", 50, 2, 1.5, (0.1, 0.3))
+    assert cell.mean_rmse == np.mean([0.1, 0.3]) and cell.sd_rmse == np.std([0.1, 0.3], ddof=1)
+    one = BenchmarkCell("d", "har", 50, 2, 1.5, (0.2,))
+    assert one.mean_rmse == 0.2 and one.sd_rmse == 0.0
+
+    grid = np.linspace(-1.0, 1.0, 7)
+    demo = DemoResult(grid=grid, predictions={}, chosen={}, train_x=grid, train_y=grid, config={})
+    assert np.array_equal(demo.truth, demo_mean(grid))
+
+    for bad in ({"10": [0.1], "20": [0.1, 0.2]}, {}, {"10": []}, {"1": [0.1]}, {"1": [0.1], "5": [0.1]}, {"x": [0.1]}):
+        with pytest.raises(HarError):
+            ConvergenceReport(config={}, rmse_table=bad)
+    with pytest.raises(InvalidParameterError, match="n=1"):
+        ConvergenceRow(1, 0.1)
 
 
 def test_convergence_rejects_n_below_two():
