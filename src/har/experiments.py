@@ -383,6 +383,8 @@ class BenchmarkCell:
 
     def __post_init__(self):
         vals = np.array(self.rmses)
+        if vals.size == 0:
+            raise InvalidParameterError("rmses must hold at least one repeat's RMSE, got none")
         object.__setattr__(self, "mean_rmse", float(vals.mean()))
         object.__setattr__(self, "sd_rmse", float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
 

@@ -149,27 +149,41 @@ def predict(model: FittedModel, test: DesignMatrix, *, threads: int | None = Non
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
+#: what `_lapack` looks up: each routine's argument types, the hidden
+#: lengths of its Fortran strings last, and its result type
+_INT, _PTR, _STR, _LEN = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_ROUTINES = {
+    # norm, uplo, n, a, lda, work
+    "dlansy": ([_STR, _STR, _INT, _PTR, _INT, _PTR, _LEN, _LEN], ctypes.c_double),
+    # type, kl, ku, cfrom, cto, m, n, a, lda, info
+    "dlascl": ([_STR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _PTR, _INT, _INT, _LEN], None),
+    # uplo, n, a, lda, d, e, tau, work, lwork, info
+    "dsytrd": ([_STR, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _PTR, _INT, _INT, _LEN], None),
+    # compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+    "dstedc": ([_STR, _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN], None),
+    # side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info
+    "dormtr": ([_STR, _STR, _STR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT, _INT, _LEN, _LEN, _LEN], None),
+}
+
+
 @cache
-def _dsyevd():
-    """numpy's own LAPACK dsyevd with 64-bit integers, the routine
-    numpy.linalg.eigh calls in numpy's OpenBLAS wheels, or None where numpy
-    links some other LAPACK (conda, MKL or a source build).  Looked up once,
-    on first use, among the libraries numpy.linalg's extension module loads."""
+def _lapack() -> dict | None:
+    """numpy's own LAPACK routines that dsyevd, the routine numpy.linalg.eigh
+    calls, runs in turn, with 64-bit integers, by name; or None where numpy
+    links some other LAPACK (conda, MKL or a source build) or lacks any of
+    them.  Looked up once, on first use, among the libraries numpy.linalg's
+    extension module loads."""
     from numpy.linalg import _umath_linalg
 
     try:
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {name: getattr(library, f"scipy_{name}_64_") for name in _ROUTINES}
     except (OSError, AttributeError):
         return None
-    integer, pointer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
-    # hidden lengths of the two Fortran strings
-    routine.argtypes = [
-        ctypes.c_char_p, ctypes.c_char_p, integer, pointer, integer, pointer,
-        pointer, integer, pointer, integer, integer, ctypes.c_size_t, ctypes.c_size_t,
-    ]
-    routine.restype = None
-    return routine
+    for name, routine in routines.items():
+        routine.argtypes, routine.restype = _ROUTINES[name]
+    return routines
 
 
 @cache
@@ -185,7 +199,31 @@ def _malloc_trim():
 
 def eigensolver() -> str:
     """The route `eigh` takes in this process."""
-    return EIGENSOLVER_NUMPY if _dsyevd() is None else EIGENSOLVER_IN_PLACE
+    return EIGENSOLVER_NUMPY if _lapack() is None else EIGENSOLVER_IN_PLACE
+
+
+def _run(lapack: dict, name: str, *args) -> int:
+    """Call LAPACK routine `name` with `args`, its arguments before info:
+    arrays by address, Python ints and floats by reference, strings as they
+    are.  Returns a non-negative info; a negative one names an illegal
+    argument."""
+    info = ctypes.c_int64(0)
+    refs = [
+        arg.ctypes.data if isinstance(arg, np.ndarray)
+        else ctypes.c_int64(arg) if isinstance(arg, int)
+        else ctypes.c_double(arg) if isinstance(arg, float) else arg
+        for arg in args
+    ]
+    lapack[name](*refs, info, *[1] * sum(isinstance(arg, bytes) for arg in args))
+    if info.value < 0:
+        raise LinAlgError(f"{name} argument {-info.value} is illegal")
+    return info.value
+
+
+#: dsyevd scales a matrix whose largest entry lies outside [rmin, rmax] into
+#: it, by bounds it derives from LAPACK dlamch's safe minimum and precision
+_SMLNUM = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_RMIN, _RMAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1.0 / _SMLNUM))
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,40 +231,66 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix `a`, read from its lower triangle as numpy.linalg.eigh
     reads it, with the same bits.
 
-    LAPACK dsyevd overwrites a writable Fortran-ordered float64 `a` with V
-    and V is returned as that same buffer; any other `a` is copied into one
-    first, so the caller's matrix is left as it was.  The call holds V and a
-    2n^2 workspace.  Where numpy's dsyevd cannot be found (see `eigensolver`),
+    It runs the steps LAPACK dsyevd makes, with dsyevd's scaling and
+    workspace sizes, but writes V into `a`'s own buffer: dsytrd reduces `a`
+    to tridiagonal form in place, its Householder reflectors are copied out
+    to an n(n-1)/2 vector, dstedc overwrites `a` with the tridiagonal
+    eigenvectors using an n^2 scratch, the reflectors are unpacked into that
+    scratch, and dormtr turns `a` into V.  So it holds V, the reflectors and
+    the scratch, 2.5n^2 doubles, where dsyevd itself holds 3n^2.  A writable
+    Fortran-ordered float64 `a` is overwritten and returned as V; any other
+    `a` is copied into one first, so the caller's matrix is left as it was.
+    Where numpy lacks one of these routines (see `eigensolver`),
     numpy.linalg.eigh runs instead and its C-ordered V is copied to Fortran
     order, about 2n^2 more.  Both routes first call malloc_trim(0): heap that
     glibc kept resident after earlier work freed it would add to that peak.
     """
     if (trim := _malloc_trim()) is not None:
         trim(0)  # before any workspace is allocated
-    routine = _dsyevd()
-    if routine is None:
+    lapack = _lapack()
+    if lapack is None:
         w, V = np.linalg.eigh(a)
         return w, np.asfortranarray(V)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinAlgError("Last 2 dimensions of the array must be square")
     if not (a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable):
         a = np.array(a, dtype=np.float64, order="F")
-    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
-    w = np.empty(n.value)
+    n = a.shape[0]
+    if n <= 1:  # dsyevd's own early return
+        w = a.diagonal().copy()
+        a[...] = 1.0
+        return w, a
 
-    def run(lwork: int, liwork: int) -> tuple[int, int]:
-        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), dtype=np.int64)
-        routine(
-            b"V", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data, ctypes.c_int64(lwork),
-            iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1,
-        )
-        return int(work[0]), int(iwork[0])
+    anrm = lapack["dlansy"](b"M", b"L", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(n), None, 1, 1)
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else None
+    if sigma is not None:
+        _run(lapack, "dlascl", b"L", 0, 0, 1.0, sigma, n, n, a, n)
 
-    run(*run(-1, -1))  # a workspace query, then the call
-    if info.value:
-        raise LinAlgError(
-            "Eigenvalues did not converge" if info.value > 0 else f"dsyevd argument {-info.value} is illegal"
-        )
+    w, e, tau, query = np.empty(n), np.empty(n), np.empty(n), np.empty(1)
+    _run(lapack, "dsytrd", b"L", n, a, n, w, e, tau, query, -1)
+    work = np.empty(min(int(query[0]), 1 + 4 * n + 2 * n * n))
+    _run(lapack, "dsytrd", b"L", n, a, n, w, e, tau, work, work.size)
+    del work
+    reflectors = np.concatenate([a[j + 1 :, j] for j in range(n - 1)])
+
+    work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
+    if _run(lapack, "dstedc", b"I", n, w, e, a, n, work, work.size, iwork, iwork.size):
+        raise LinAlgError("Eigenvalues did not converge")
+    del iwork
+    householder = work[: n * n].reshape(n, n, order="F")
+    start = 0
+    for j in range(n - 1):
+        householder[j + 1 :, j] = reflectors[start : start + n - 1 - j]
+        start += n - 1 - j
+    del reflectors
+
+    # dsyevd's own dormtr workspace, capped at dormqr's largest need (nb = 64
+    # and its 65 x 64 T block): dormtr's query leaves out the T block, and
+    # dormqr blocks by the workspace it is given
+    work = np.empty(min(1 + 4 * n + n * n, 64 * n + 65 * 64))
+    _run(lapack, "dormtr", b"L", b"L", b"N", n, n, householder, n, tau, a, n, work, work.size)
+    if sigma is not None:
+        w *= 1.0 / sigma
     return w, a
 
 

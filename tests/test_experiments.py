@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,14 @@ def test_study_records_derive_their_summaries():
             ConvergenceReport(config={}, rmse_table=bad)
     with pytest.raises(InvalidParameterError, match="n=1"):
         ConvergenceRow(1, 0.1)
+
+
+def test_benchmark_cell_rejects_no_repeats():
+    # before any mean is taken: an empty mean warns and records nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="rmses"):
+            BenchmarkCell("d", "har", 1, 1, 0.0, ())
 
 
 def test_convergence_rejects_n_below_two():

@@ -1,4 +1,3 @@
-import ctypes
 import json
 import tracemalloc
 import warnings
@@ -628,14 +627,14 @@ def test_tune_is_bit_identical_to_scipy_eigh_reference(family, order, n, threads
 
 
 in_place_only = pytest.mark.skipif(
-    eigensolver() != solver.EIGENSOLVER_IN_PLACE, reason="numpy's own dsyevd is not found in this numpy"
+    eigensolver() != solver.EIGENSOLVER_IN_PLACE, reason="numpy's own LAPACK routines are not found in this numpy"
 )
 
 
 def _on_both_routes(monkeypatch, run):
-    """run() on the in-place route, then again with numpy's dsyevd hidden."""
+    """run() on the in-place route, then again with numpy's LAPACK routines hidden."""
     in_place = run()
-    monkeypatch.setattr(solver, "_dsyevd", lambda: None)
+    monkeypatch.setattr(solver, "_lapack", lambda: None)
     assert eigensolver() == solver.EIGENSOLVER_NUMPY
     return in_place, run()
 
@@ -677,14 +676,38 @@ def test_in_place_eigh_overwrites_its_input_with_v():
     assert np.allclose((V * w) @ V.T, K, rtol=0.0, atol=1e-12 * np.abs(K).max())
 
 
-@in_place_only
+@pytest.mark.parametrize("n", [*range(1, 141), 600])
+def test_eigh_is_bit_identical_to_numpy_eigh(n):
+    # n from 1 to 140 crosses dsytrd's 32-column blocking and the sizes at
+    # which dsyevd's workspace shrinks or switches off dormtr's blocking
+    K = gram_matrix(DesignMatrix(rng_from(58, "solver", "eigh-bits", n).uniform(size=(n, 3))), T0).values
+    w, V = np.linalg.eigh(K)
+    w1, V1 = eigh(np.array(K, order="F"))
+    assert np.array_equal(w1, w) and np.array_equal(V1, V)
+
+
 @pytest.mark.parametrize(
+    "p, scale", [(500, 1.0), (3, 1e160), (3, 1e-160)], ids=["above", "above-scaled", "below-scaled"]
+)
+def test_eigh_is_bit_identical_to_numpy_eigh_outside_lapacks_scaling_bounds(p, scale):
+    # an order-0 Gram at p = 500 has 2^500 on its diagonal, above dsyevd's
+    # upper bound 2^485, so dsyevd scales it by a power of two; a Gram
+    # scaled by 1e160 or 1e-160 is scaled back by a factor that rounds
+    K = gram_matrix(DesignMatrix(rng_from(59, "solver", "eigh-scaled", p).uniform(size=(60, p))), T0).values * scale
+    assert not 2.0**-485 <= np.abs(K).max() <= 2.0**485
+    w, V = np.linalg.eigh(K)
+    w1, V1 = eigh(np.array(K, order="F"))
+    assert np.array_equal(w1, w) and np.array_equal(V1, V)
+
+
+_SOLVES = pytest.mark.parametrize(
     "solve", [lambda knots, y: tune(knots, y, "har"), lambda knots, y: fit(knots, y, T0, 1.0)], ids=["tune", "fit"]
 )
-def test_tune_eigendecomposes_its_own_gram_in_place(solve):
-    # the Gram and LAPACK's 2n^2 workspace; one more copy of the Gram would read 4n^2
+
+
+def _traced_peak_in_grams(solve, n: int = 600) -> float:
+    """The traced peak of solve(knots, y) on n knots, in n x n float64 Grams."""
     rng = rng_from(54, "solver", "tune-memory")
-    n = 600
     knots, y = DesignMatrix(rng.uniform(size=(n, 3))), rng.standard_normal(n)
     tracemalloc.start()
     try:
@@ -692,7 +715,22 @@ def test_tune_eigendecomposes_its_own_gram_in_place(solve):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * n * 8
+    return peak / (n * n * 8)
+
+
+@in_place_only
+@_SOLVES
+def test_tune_eigendecomposes_its_own_gram_in_place(solve):
+    # the Gram and LAPACK's 2n^2 workspace; one more copy of the Gram would read 4n^2
+    assert _traced_peak_in_grams(solve) < 3.5
+
+
+@in_place_only
+@_SOLVES
+def test_eigh_peaks_at_two_and_a_half_grams(solve):
+    # V in the Gram's buffer, the n(n-1)/2 reflectors and dstedc's n^2
+    # scratch; dsyevd's own 2n^2 workspace beside the Gram would read 3n^2
+    assert _traced_peak_in_grams(solve) < 2.75
 
 
 def test_eigh_rejects_a_non_square_matrix_before_any_lapack_call():
@@ -702,15 +740,26 @@ def test_eigh_rejects_a_non_square_matrix_before_any_lapack_call():
 
 @in_place_only
 def test_in_place_eigh_raises_numpys_error_when_lapack_does_not_converge(monkeypatch):
-    def unconverged(*args):
-        # a workspace query answers one double and one integer; the call then reports info = 3
-        ctypes.c_double.from_address(args[6]).value = 1.0
-        ctypes.c_int64.from_address(args[8]).value = 1
-        args[10].value = 3 if args[7].value > 0 else 0
+    routines = solver._lapack()
 
-    monkeypatch.setattr(solver, "_dsyevd", lambda: unconverged)
+    def unconverged(*args):
+        args[10].value = 3  # dstedc's info
+
+    monkeypatch.setattr(solver, "_lapack", lambda: {**routines, "dstedc": unconverged})
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         eigh(np.eye(2))
+
+
+@in_place_only
+def test_in_place_eigh_names_the_routine_and_argument_lapack_rejects(monkeypatch):
+    routines = solver._lapack()
+
+    def illegal(*args):
+        args[12].value = -7  # dormtr's info
+
+    monkeypatch.setattr(solver, "_lapack", lambda: {**routines, "dormtr": illegal})
+    with pytest.raises(np.linalg.LinAlgError, match="^dormtr argument 7 is illegal$"):
+        eigh(np.eye(3))
 
 
 @pytest.mark.parametrize("route", [pytest.param("in-place", marks=in_place_only), "numpy"])
@@ -718,11 +767,14 @@ def test_eigh_trims_the_heap_before_lapack_runs(monkeypatch, route):
     calls = []
     monkeypatch.setattr(solver, "_malloc_trim", lambda: lambda pad: calls.append(("trim", pad)))
     if route == "in-place":
-        routine = solver._dsyevd()
-        monkeypatch.setattr(solver, "_dsyevd", lambda: lambda *args: (calls.append("lapack"), routine(*args)))
+        routines = {
+            name: lambda *args, routine=routine: (calls.append("lapack"), routine(*args))[1]
+            for name, routine in solver._lapack().items()
+        }
+        monkeypatch.setattr(solver, "_lapack", lambda: routines)
     else:
         numpy_eigh = np.linalg.eigh
-        monkeypatch.setattr(solver, "_dsyevd", lambda: None)
+        monkeypatch.setattr(solver, "_lapack", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", lambda a: (calls.append("lapack"), numpy_eigh(a))[1])
     K = gram_matrix(DesignMatrix(rng_from(57, "solver", "heap-trim").uniform(size=(40, 3))), T0).values
     for _ in range(2):
@@ -746,8 +798,8 @@ def test_eigh_without_heap_trim_is_bit_identical(monkeypatch, family, order, n):
         return result.scores, result.selected, model.alpha, fit(knots, y, spec, 0.01).alpha, loocv_errors(gram, y, 0.01)
 
     trim = solver._malloc_trim
-    for routine in (solver._dsyevd(), None):  # the in-place route where numpy has it, then numpy.linalg.eigh
-        monkeypatch.setattr(solver, "_dsyevd", lambda: routine)
+    for routines in (solver._lapack(), None):  # the in-place route where numpy has it, then numpy.linalg.eigh
+        monkeypatch.setattr(solver, "_lapack", lambda: routines)
         monkeypatch.setattr(solver, "_malloc_trim", trim)
         trimmed = run()
         monkeypatch.setattr(solver, "_malloc_trim", lambda: None)
