@@ -18,13 +18,14 @@ one Gram matrix per kernel candidate:
   residual; the lowest score wins, ties to the larger lambda, then to the
   earlier candidate, a rule `_best` alone applies.
 
-`tune` factors each Gram once, K = V diag(w) V^T, by `eigh`: LAPACK
-dsyevd, the routine numpy.linalg.eigh calls, run through ctypes on the
-Gram's own buffer, which it overwrites with V, once malloc_trim(0) has
-handed the heap earlier work freed back to the OS.  eigmin(K) = w[0] sets
-lambda0, two matrix products give alpha and the inverse diagonal at every
-grid point, and the winner's alpha is its column of that product, so no
-second factorization is made.  `fit`, for an explicit lambda, and
+`tune` factors each Gram once, K = V diag(w) V^T, by `eigh`: the steps of
+LAPACK dsyevd, the routine numpy.linalg.eigh calls, run through ctypes so
+that the Gram's own buffer receives V, once malloc_trim(0) has handed the
+heap earlier work freed back to the OS.  It gives dsyevd's bits and holds
+2.5n^2 doubles at its peak, where dsyevd itself holds 3n^2.  eigmin(K) =
+w[0] sets lambda0, two matrix products give alpha and the inverse diagonal
+at every grid point, and the winner's alpha is its column of that product,
+so no second factorization is made.  `fit`, for an explicit lambda, and
 `loocv_errors` make the same eigendecomposition and products at their one
 lambda, so one rule, in `_loo_grid`, decides when K + lambda I is singular,
 and a model's alpha always solves the lambda it records.  `eigh` copies
@@ -114,7 +115,8 @@ def fit(
     eigendecomposition `tune` makes, through `_loo_grid` at the one lambda;
     SingularSystemError if K + lambda I is not positive definite.  Like
     `tune`, it builds its own Gram and lets `eigh` overwrite it, so it holds
-    about 3n^2 doubles: the Gram, then V in its place, and a 2n^2 workspace.
+    about 2.5n^2 doubles: the Gram, then V in its place, and `eigh`'s 1.5n^2
+    of reflectors and scratch.
 
     ``scaling`` is carried on the model for the prediction pipeline; omitted
     means the knots are already native unit-cube coordinates (identity
