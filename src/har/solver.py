@@ -233,8 +233,8 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix `a`, read from its lower triangle as numpy.linalg.eigh
     reads it, with the same bits.
 
-    It runs the steps LAPACK dsyevd makes, with dsyevd's scaling and
-    workspace sizes, but writes V into `a`'s own buffer: dsytrd reduces `a`
+    It runs the steps LAPACK dsyevd makes, scaled and blocked as dsyevd
+    scales and blocks them, but writes V into `a`'s own buffer: dsytrd reduces `a`
     to tridiagonal form in place, its Householder reflectors are copied out
     to an n(n-1)/2 vector, dstedc overwrites `a` with the tridiagonal
     eigenvectors using an n^2 scratch, the reflectors are unpacked into that
@@ -244,7 +244,7 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `a` is copied into one first, so the caller's matrix is left as it was.
     Where numpy lacks one of these routines (see `eigensolver`),
     numpy.linalg.eigh runs instead and its C-ordered V is copied to Fortran
-    order, about 2n^2 more.  Both routes first call malloc_trim(0): heap that
+    order, about 5n^2 in all.  Both routes first call malloc_trim(0): heap that
     glibc kept resident after earlier work freed it would add to that peak.
     """
     if (trim := _malloc_trim()) is not None:
@@ -268,6 +268,8 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if sigma is not None:
         _run(lapack, "dlascl", b"L", 0, 0, 1.0, sigma, n, n, a, n)
 
+    # dsytrd blocks alike on the n x block size its query asks for and on
+    # the 1 + 4n + 2n^2 that dsyevd gives it, so it gets the smaller
     w, e, tau, query = np.empty(n), np.empty(n), np.empty(n), np.empty(1)
     _run(lapack, "dsytrd", b"L", n, a, n, w, e, tau, query, -1)
     work = np.empty(min(int(query[0]), 1 + 4 * n + 2 * n * n))

@@ -721,7 +721,8 @@ def _traced_peak_in_grams(solve, n: int = 600) -> float:
 @in_place_only
 @_SOLVES
 def test_tune_eigendecomposes_its_own_gram_in_place(solve):
-    # the Gram and LAPACK's 2n^2 workspace; one more copy of the Gram would read 4n^2
+    # the Gram and eigh's 1.5n^2 of reflectors and scratch; one more copy of
+    # the Gram would read 3.5n^2
     assert _traced_peak_in_grams(solve) < 3.5
 
 
