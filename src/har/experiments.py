@@ -176,9 +176,7 @@ def run_demo(
     chosen = {}
     for family in FAMILIES:
         result, model = tune(
-            knots, y_train, family,
-            order=0, epsilon=epsilon, grid_count=grid_count,
-            scaling=scaling, threads=threads,
+            knots, y_train, family, order=0, epsilon=epsilon, grid_count=grid_count, threads=threads,
         )
         predictions[family] = predict(model, grid_scaled, threads=threads)
         chosen[family] = result.choice()
@@ -411,7 +409,6 @@ class BenchmarkReport:
 def _bench_one_dataset(
     name: str,
     dataset: Dataset,
-    methods,
     repeats: int,
     seed: int,
     *,
@@ -421,8 +418,8 @@ def _bench_one_dataset(
     threads,
     progress,
 ) -> list:
-    per_method = {m: [] for m in methods}
-    walls = {m: 0.0 for m in methods}
+    per_method = {m: [] for m in FAMILIES}
+    walls = {m: 0.0 for m in FAMILIES}
     n_used = p_used = None
     for r in range(repeats):
         split_seed = int(rng_from(seed, "bench", name, r, "split-seed").integers(0, 2**32))
@@ -431,12 +428,10 @@ def _bench_one_dataset(
         scaling = fit_scaling(train.features)
         knots = DesignMatrix(apply_scaling(train.features, scaling))
         test_scaled = DesignMatrix(apply_scaling(test.features, scaling))
-        for method in methods:
+        for method in FAMILIES:
             t0 = time.perf_counter()
             _, model = tune(
-                knots, train.target, method,
-                order=0, epsilon=epsilon, grid_count=grid_count,
-                scaling=scaling, threads=threads,
+                knots, train.target, method, order=0, epsilon=epsilon, grid_count=grid_count, threads=threads,
             )
             err = rmse(predict(model, test_scaled, threads=threads), test.target)
             walls[method] += time.perf_counter() - t0
@@ -445,7 +440,7 @@ def _bench_one_dataset(
                 progress(f"bench {name} {method} repeat {r + 1}/{repeats} rmse={err:.4f}")
     return [
         BenchmarkCell(name, method, n_used, p_used, walls[method], tuple(per_method[method]))
-        for method in methods
+        for method in FAMILIES
     ]
 
 
@@ -453,7 +448,6 @@ def run_benchmark(
     dataset_paths,
     seed: int,
     *,
-    methods=FAMILIES,
     repeats: int = DEFAULT_REPEATS,
     train_fraction: float = BENCH_TRAIN_FRACTION,
     max_rows=BENCH_MAX_ROWS,
@@ -462,23 +456,20 @@ def run_benchmark(
     threads: int | None = None,
     progress=None,
 ) -> BenchmarkReport:
-    """Tune every method on shared splits of each dataset, `repeats` times.
+    """Tune every kernel family in `FAMILIES` on shared splits of each
+    dataset, `repeats` times; each (dataset, family) pair is one cell.
 
-    Within a repeat all methods see the same train/test rows.  The study's
-    own parameters are checked before any dataset is opened: `dataset_paths`
-    by `check_datasets`, and `methods` is taken once (a generator works).
-    A dataset that fails to load or fit (a package error or an I/O error) is
-    recorded under `failures` and the run continues; any other exception is
-    a bug and propagates.  Target column is the last column of each file.
+    Within a repeat all families see the same train/test rows.  The study's
+    own parameters are checked before any dataset is opened, `dataset_paths`
+    by `check_datasets`.  A dataset that fails to load or fit (a package
+    error or an I/O error) is recorded under `failures` and the run
+    continues; any other exception is a bug and propagates.  Target column
+    is the last column of each file.
     """
     dataset_paths, names = check_datasets(dataset_paths)
-    methods = _sequence("methods", methods, "kernel families")
     check_study(repeats=repeats)
     rng_from(seed)
     _resolve_workers(threads)
-    for m in methods:
-        if m not in FAMILIES:
-            raise InvalidParameterError(f"unknown method {m!r}; expected one of {FAMILIES}")
     check_tuning(epsilon, grid_count)
     split = SplitSpec(train_fraction=train_fraction, max_rows=max_rows)
     cells = []
@@ -487,7 +478,7 @@ def run_benchmark(
         try:
             dataset = load_csv(path)
             cells.extend(_bench_one_dataset(
-                name, dataset, methods, repeats, seed,
+                name, dataset, repeats, seed,
                 split=split, grid_count=grid_count, epsilon=epsilon,
                 threads=threads, progress=progress,
             ))
@@ -497,7 +488,7 @@ def run_benchmark(
         "operation": "bench",
         "seed": int(seed),
         "datasets": [str(p) for p in dataset_paths],
-        "methods": list(methods),
+        "methods": list(FAMILIES),
         "repeats": int(repeats),
         "train_fraction": float(train_fraction),
         "max_rows": None if max_rows is None else int(max_rows),

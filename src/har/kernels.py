@@ -51,8 +51,9 @@ block writes its rows of the upper triangle and their mirror below the
 diagonal, so no sequential pass follows.  Test rows against knots take one
 of two row-block passes, each checked by `_check_points` (same width, and
 the unit cube for har and sobolev) and each splitting the rows into fixed
-blocks that set their own rows of the output.  `cross_kernel_matrix`
-evaluates the (m, n) matrix in ``_ROW_BLOCK``-row blocks.
+blocks that set their own rows of the output.  `cross_kernel_matrix`, the
+reference the other pass is checked against, evaluates the (m, n) matrix in
+``_ROW_BLOCK``-row blocks, one after another.
 `_cross_kernel_product`, which ``solver.predict`` calls, reduces k(test,
 knots) @ alpha row by row, so the m x n matrix is never held: an order-0
 model whose n * 2**p table fits gathers from `_order0_table`, and every
@@ -345,14 +346,19 @@ def kernel_value(x, x_prime, knots: DesignMatrix, spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 # membership masks for the order-0 fast path
 
+def _mask_word(p: int) -> np.dtype:
+    """The word type of order-0 membership masks over p features: the
+    narrowest unsigned type holding ``2**p``, or uint64 once p >= 64."""
+    return np.min_scalar_type(1 << min(p, 63))
+
+
 def membership_masks(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """Pack per-knot coordinate dominance into bitmasks, ``(m, n, words)``.
 
-    Each word is the narrowest unsigned type holding ``2**p``, or uint64
-    once p >= 64, with ``b`` bits; bit ``j % b`` of ``out[a, k, j // b]`` is
-    1 iff ``knots[k, j] <= points[a, j]``.  The order-0 count for a pair
-    (a, b) at knot k is the popcount of ``out[a, k] & out[b, k]`` summed
-    over the words.
+    Each word is a `_mask_word` of ``b`` bits; bit ``j % b`` of
+    ``out[a, k, j // b]`` is 1 iff ``knots[k, j] <= points[a, j]``.  The
+    order-0 count for a pair (a, b) at knot k is the popcount of
+    ``out[a, k] & out[b, k]`` summed over the words.
 
     The knots are copied once per call into one contiguous row per feature,
     and each feature is compared, shifted to its bit and or-ed into its word
@@ -361,7 +367,7 @@ def membership_masks(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """
     m, p = points.shape
     n = knots.shape[0]
-    dtype = np.min_scalar_type(1 << min(p, 63))
+    dtype = _mask_word(p)
     bits = 8 * dtype.itemsize
     out = np.zeros((m, n, -(-p // bits)), dtype=dtype)
     columns = knots.T.copy()  # (p, n)
@@ -615,7 +621,7 @@ def _predict_block_rows(spec: KernelSpec, knots: DesignMatrix) -> int:
     keeps `_ROW_BLOCK` rows, as the Gram does.
     """
     if _use_contraction(spec, knots):
-        entry = np.min_scalar_type(1 << knots.p).itemsize + 8
+        entry = _mask_word(knots.p).itemsize + 8
     elif spec.family == FAMILY_HAR:
         return _ROW_BLOCK
     else:
@@ -675,21 +681,15 @@ def _cross_kernel_product(
     return out
 
 
-def cross_kernel_matrix(
-    test: DesignMatrix,
-    knots: DesignMatrix,
-    spec: KernelSpec,
-    threads: int | None = None,
-) -> np.ndarray:
+def cross_kernel_matrix(test: DesignMatrix, knots: DesignMatrix, spec: KernelSpec) -> np.ndarray:
     """(m, n) matrix of kernel values between test rows and knot rows,
-    evaluated in `_ROW_BLOCK`-row blocks straight into its rows."""
+    evaluated in `_ROW_BLOCK`-row blocks straight into its rows, one block
+    after another: the reference the prediction routes are checked against,
+    so it shares no worker pool with them."""
     _check_points(test, knots, spec)
     out = np.empty((test.n, knots.n))
     evaluate = _block_evaluator(spec, knots.values, test.values)
     all_knots = slice(0, knots.n)
-
-    def work(rows: slice):
+    for rows in _row_slices(test.n):
         out[rows] = evaluate(rows, all_knots)
-
-    _run_blocks(work, _row_slices(test.n), threads)
     return out

@@ -37,7 +37,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -109,14 +109,13 @@ def fit(
     lam: float,
     *,
     scaling: ScalingParams | None = None,
-    threads: int | None = None,
 ) -> FittedModel:
     """Solve (K + lambda I) alpha = y for the given kernel on the
     eigendecomposition `tune` makes, through `_loo_grid` at the one lambda;
     SingularSystemError if K + lambda I is not positive definite.  Like
-    `tune`, it builds its own Gram and lets `eigh` overwrite it, so it holds
-    about 2.5n^2 doubles: the Gram, then V in its place, and `eigh`'s 1.5n^2
-    of reflectors and scratch.
+    `tune`, it builds its own Gram, on one worker per usable core, and lets
+    `eigh` overwrite it, so it holds about 2.5n^2 doubles: the Gram, then V
+    in its place, and `eigh`'s 1.5n^2 of reflectors and scratch.
 
     ``scaling`` is carried on the model for the prediction pipeline; omitted
     means the knots are already native unit-cube coordinates (identity
@@ -124,7 +123,7 @@ def fit(
     """
     yv = _as_vector(y, knots.n, "y")
     lam = _check_model_lambda(lam)
-    w, V = eigh(_own_gram(knots, spec, threads).T)
+    w, V = eigh(_own_gram(knots, spec).T)
     alpha = _loo_grid(w, V, yv, np.array([lam]))[0][:, 0]
     scaling = ScalingParams.identity(knots.p) if scaling is None else scaling
     return FittedModel(knots=knots, spec=spec, lam=lam, alpha=alpha, scaling=scaling)
@@ -298,7 +297,7 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, a
 
 
-def _own_gram(knots: DesignMatrix, spec: KernelSpec, threads: int | None) -> np.ndarray:
+def _own_gram(knots: DesignMatrix, spec: KernelSpec, threads: int | None = None) -> np.ndarray:
     """The Gram's values made writable for a caller that alone holds them, so
     that `eigh(K.T)` may overwrite them with V: K.T, their Fortran-ordered
     view, equals K, which gram_matrix makes exactly symmetric."""
@@ -410,13 +409,18 @@ def lambda_grid(lambda0: float, count: int = DEFAULT_GRID_COUNT) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TuningResult:
     """The candidate (kernel, lambda) grid, its leave-one-out scores (mean
-    squared residual), the selected index, and how the numerics ran:
-    ``diagnostics["eigensolver"]`` names the route `eigh` took."""
+    squared residual) and how the numerics ran:
+    ``diagnostics["eigensolver"]`` names the route `eigh` took.  The
+    selected index is derived from the scores by `_best`, the one selection
+    rule, so no record can name a winner its scores do not."""
 
     candidates: tuple
     scores: np.ndarray
-    selected: int
+    selected: int = field(init=False)
     diagnostics: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "selected", _best(self.scores, [lam for _, lam in self.candidates]))
 
     @property
     def winner(self) -> tuple:
@@ -480,15 +484,13 @@ def tune(
         candidates.extend((spec, float(lam)) for lam in grid)
         scores.extend(spec_scores)
 
-    # the overall winner is its own spec's winner under the same order
-    selected = _best(scores, [lam for _, lam in candidates])
     result = TuningResult(
-        candidates=tuple(candidates), scores=np.array(scores), selected=selected,
-        diagnostics={"eigensolver": eigensolver()},
+        candidates=tuple(candidates), scores=np.array(scores), diagnostics={"eigensolver": eigensolver()},
     )
     spec_sel, lam_sel = result.winner
+    # the overall winner is its own spec's winner under the same order
     model = FittedModel(
-        knots=knots, spec=spec_sel, lam=lam_sel, alpha=kept[selected // grid_count],
+        knots=knots, spec=spec_sel, lam=lam_sel, alpha=kept[result.selected // grid_count],
         scaling=ScalingParams.identity(knots.p) if scaling is None else scaling,
     )
     return result, model

@@ -153,7 +153,7 @@ def test_criterion_7_benchmark_bands():
     if root is None:
         pytest.skip(f"benchmark data absent: {reason}")
     paths = [str(root / f) for f in BENCH_FILES]
-    report = run_benchmark(paths, seed=0, methods=("har", "sobolev"), repeats=5)
+    report = run_benchmark(paths, seed=0, repeats=5)
     assert report.failures == (), f"dataset failures: {report.failures}"
     got = {(c.dataset, c.method): c.mean_rmse for c in report.cells}
     bands = {

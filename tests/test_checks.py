@@ -68,7 +68,6 @@ ENTRY_POINTS = {
         lambda v: run_benchmark(v, 0, repeats=1), ["a.csv", Path("a.csv"), 5, None, [5], ["a.csv", None]]
     ),
     "check_datasets": (check_datasets, ["a.csv", Path("a.csv"), 5, None, [5], ["a/x.csv", Path("b/x.csv")], []]),
-    "run_benchmark.methods": (lambda v: run_benchmark(["absent.csv"], 0, methods=v, repeats=1), [5]),
 }
 
 

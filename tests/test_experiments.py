@@ -25,6 +25,7 @@ from har.experiments import (
     simulate_interaction_10d,
     theoretical_rate,
 )
+from har.kernels import FAMILIES
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +274,6 @@ def test_benchmark_cells_and_failures(bench_files, tmp_path):
         assert c.mean_rmse == pytest.approx(np.mean(c.rmses), rel=1e-15)
 
 
-def test_benchmark_split_independent_of_method_list(bench_files):
-    # the har cell must be identical whether or not other methods also run
-    full = run_benchmark(bench_files[:1], 3, repeats=2, grid_count=5)
-    only = run_benchmark(bench_files[:1], 3, methods=("har",), repeats=2, grid_count=5)
-    har_full = next(c for c in full.cells if c.method == "har")
-    har_only = only.cells[0]
-    assert har_full.rmses == har_only.rmses
-
-
 def test_benchmark_deterministic_modulo_timing(bench_files):
     r1 = run_benchmark(bench_files, 5, repeats=2, grid_count=5)
     r2 = run_benchmark(bench_files, 5, repeats=2, grid_count=5)
@@ -315,13 +307,11 @@ def test_benchmark_programming_error_propagates(bench_files, monkeypatch):
 def test_benchmark_validation(bench_files):
     with pytest.raises(InvalidParameterError):
         run_benchmark(bench_files, 1, repeats=0)
-    with pytest.raises(InvalidParameterError):
-        run_benchmark(bench_files, 1, methods=("har", "mystery"))
 
 
 def test_benchmark_takes_a_generator_of_paths_once(bench_files):
-    rep = run_benchmark((p for p in bench_files[:1]), 2, methods=("har",), repeats=1, grid_count=3)
-    assert len(rep.cells) == 1 and rep.config["datasets"] == bench_files[:1]
+    rep = run_benchmark((p for p in bench_files[:1]), 2, repeats=1, grid_count=3)
+    assert len(rep.cells) == len(FAMILIES) and rep.config["datasets"] == bench_files[:1]
 
 
 def test_benchmark_rejects_two_paths_with_one_stem(bench_files, tmp_path, monkeypatch):

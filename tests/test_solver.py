@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from har.solver import (
     DEFAULT_EPSILON,
     RBF_BANDWIDTHS,
     FittedModel,
+    TuningResult,
     _best,
     _bound_factor,
     _family_specs,
@@ -785,6 +787,38 @@ def test_eigh_trims_the_heap_before_lapack_runs(monkeypatch, route):
         assert np.allclose((V * w) @ V.T, K, rtol=0.0, atol=1e-12 * np.abs(K).max())
 
 
+@pytest.fixture
+def fresh_lookups():
+    """`_lapack` and `_malloc_trim` looked up anew inside the test, and again after it."""
+    lookups = (solver._lapack, solver._malloc_trim)
+    for lookup in lookups:
+        lookup.cache_clear()
+    yield
+    for lookup in lookups:
+        lookup.cache_clear()
+
+
+def _unopenable(path):
+    raise OSError(f"cannot open {path}")
+
+
+def _without_dlansy(path):
+    return SimpleNamespace(**{f"scipy_{name}_64_": None for name in solver._ROUTINES if name != "dlansy"})
+
+
+@pytest.mark.parametrize("library", [_unopenable, _without_dlansy])
+def test_lapack_lookup_falls_back_to_numpy_eigh(fresh_lookups, monkeypatch, library):
+    # numpy's linalg module cannot be opened (OSError), or lacks one routine (AttributeError)
+    monkeypatch.setattr(solver.ctypes, "CDLL", library)
+    assert solver._lapack() is None
+    assert eigensolver() == solver.EIGENSOLVER_NUMPY
+
+
+def test_malloc_trim_lookup_is_none_without_it(fresh_lookups, monkeypatch):
+    monkeypatch.setattr(solver.ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert solver._malloc_trim() is None
+
+
 @pytest.mark.parametrize("n", [1, 31, 200])
 @pytest.mark.parametrize("family, order", [("har", 0), ("har", 1), ("sobolev", 0), ("rbf", 0)])
 def test_eigh_without_heap_trim_is_bit_identical(monkeypatch, family, order, n):
@@ -870,6 +904,18 @@ def test_tune_ties_break_toward_larger_lambda():
     lams = [lam for _, lam in result.candidates]
     assert result.selected == int(np.argmax(lams))
     assert model.lam == max(lams)
+
+
+def test_tuning_result_derives_its_selection_from_its_scores():
+    # the lowest score wins, ties go to the larger lambda, then to the earlier candidate
+    specs = (KernelSpec.rbf(0.5), KernelSpec.rbf(2.0))
+    candidates = tuple((spec, lam) for spec in specs for lam in (0.1, 1.0, 10.0))
+    result = TuningResult(candidates, np.array([3.0, 1.0, 1.0, 2.0, 1.0, 5.0]), {})
+    assert result.selected == 2 and result.winner == (specs[0], 10.0)
+    assert result.choice()["loocv_score"] == 1.0
+    assert TuningResult(candidates, np.array([2.0, 1.0, 3.0, 2.0, 1.0, 5.0]), {}).selected == 1
+    with pytest.raises(TypeError):
+        TuningResult(candidates, np.ones(6), {}, selected=0)
 
 
 def test_tune_selection_invariant_to_outcome_scale():
